@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .mtbdd import Cube, cube_covers
+from .mtbdd import X, Cube
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class Alphabet:
         self._by_key: dict[tuple[str, int], Symbol] = {}
         self._names: list[str] = []  # distinct names, first-registration order
         self._codes: dict[str, int] = {}
+        #: code -> (registration index, symbol) of every symbol it names
+        self._by_code: dict[int, list[tuple[int, Symbol]]] = {}
         self._width: int | None = None
 
     # -- registration ----------------------------------------------------
@@ -65,6 +67,8 @@ class Alphabet:
         elif width < needed:
             raise ValueError(f"width {width} below required {needed}")
         self._width = width
+        for i, sym in enumerate(self._symbols):
+            self._by_code.setdefault(self._codes[sym.name], []).append((i, sym))
         return self
 
     @property
@@ -113,16 +117,37 @@ class Alphabet:
 
     def decode_cube(self, cube: Cube, arity: int | None = None) -> list[Symbol]:
         """Registered symbols whose codeword is compatible with the cube,
-        optionally filtered by arity, in registration order."""
-        if len(cube) != self.width:
-            raise ValueError(f"cube width {len(cube)} != alphabet width {self.width}")
-        out = []
-        for sym in self._symbols:
-            if arity is not None and sym.arity != arity:
-                continue
-            if cube_covers(cube, self._codeword(sym.name)):
-                out.append(sym)
-        return out
+        optionally filtered by arity, in registration order.
+
+        Looks up the codes the cube covers, or scans the registered codes
+        when the cube covers more codes than there are.
+        """
+        n = self.width
+        if len(cube) != n:
+            raise ValueError(f"cube width {len(cube)} != alphabet width {n}")
+        mask = value = 0
+        free = []
+        for i, bit in enumerate(cube):
+            weight = 1 << (n - 1 - i)
+            if bit is X:
+                free.append(weight)
+            elif bit == 1:
+                mask |= weight
+                value |= weight
+            elif bit == 0:
+                mask |= weight
+            else:
+                return []  # an entry other than 0, 1 or X covers no codeword
+        if 1 << len(free) <= len(self._by_code):
+            codes = [value]
+            for weight in free:
+                codes += [code | weight for code in codes]
+        else:
+            codes = [code for code in self._by_code if code & mask == value]
+        hits = [entry for code in codes for entry in self._by_code.get(code, ())
+                if arity is None or entry[1].arity == arity]
+        hits.sort()
+        return [sym for _, sym in hits]
 
     def encode_pair(self, fst: Symbol, snd: Symbol) -> Cube:
         """Interleaved cube (a1, b1, ..., an, bn) for a relabelling pair.

@@ -157,6 +157,13 @@ class StateMachine:
             "mtbdd_nodes": self.manager.node_count(*roots),
         }
 
+    def _store(self, src: tuple[int, ...], cube, banks, targets: frozenset):
+        """Write ``targets`` over the cube of ``src``'s stored root."""
+        m = self.manager
+        old = self.index.get(src) or m.bottom
+        self.index.set(src, m.from_cube(cube, m.leaf(targets), banks, onto=old),
+                       m.bottom)
+
     def _collect_targets(self, root: Ref | None, cube, banks) -> frozenset:
         """Project a root onto a cube and gather the surviving leaves."""
         if root is None:
@@ -194,22 +201,15 @@ class TreeAutomaton(StateMachine):
                           targets: Iterable[str]):
         """Set the target set for (symbol, source); last write wins.
 
-        Realised by building the one-cube diagram for the rule and merging
-        it over the stored root with an overwrite functor.
+        Realised by writing the symbol's codeword over the stored root of
+        the source tuple, which rebuilds only that codeword's path.
         """
         sym = self._resolve(symbol, len(source))
         src = tuple(self.state_id(s) for s in source)
         tgt = frozenset(self.state_id(t) for t in targets)
         if not tgt:
             raise ValueError("target set must be non-empty; absence encodes the sink")
-        self._insert_ids(sym, src, tgt)
-
-    def _insert_ids(self, sym: Symbol, src: tuple[int, ...], tgt: frozenset):
-        m = self.manager
-        rule = m.from_cube(self.alphabet.encode(sym), m.leaf(tgt))
-        old = self.index.get(src) or m.bottom
-        new = m.apply(old, rule, lambda x, y: x if not y else y)
-        self.index.set(src, new, m.bottom)
+        self._store(src, self.alphabet.encode(sym), (0,), tgt)
 
     def get_transition(self, symbol: str | Symbol, source: Sequence[str]) -> frozenset:
         """Targets of (symbol, source) as a frozenset of state names.
@@ -233,24 +233,45 @@ class TreeAutomaton(StateMachine):
         return bool(self.reachable_states(t) & self.finals)
 
     def reachable_states(self, t: Term) -> frozenset:
-        """The set of states the automaton can reach reading ``t`` bottom-up."""
-        memo: dict[Term, frozenset] = {}
+        """The set of states the automaton can reach reading ``t`` bottom-up.
 
-        def rec(node: Term) -> frozenset:
-            res = memo.get(node)
-            if res is not None:
-                return res
+        Walks the term with an explicit stack, so depth is unbounded.  Equal
+        subterms are evaluated once: each distinct subterm gets a number,
+        keyed by its name and its children's numbers, so telling subterms
+        apart costs time linear in the term and never hashes a deep tuple.
+        A subterm object met again is not walked again.
+        """
+        numbers: dict[tuple, int] = {}    # (name, child numbers) -> number
+        seen: dict[int, int] = {}         # id of a walked subterm -> number
+        reached: list[frozenset] = []     # number -> states
+        finished: list[int] = []          # numbers of finished subterms
+        stack: list[tuple[Term, Symbol | None]] = [(t, None)]
+        while stack:
+            node, sym = stack.pop()
             name, children = node
-            sym = self.alphabet.symbol(name, len(children))
-            child_sets = [rec(c) for c in children]
-            states: set[int] = set()
-            for combo in itertools.product(*child_sets):
-                states |= self._targets_ids(sym, combo)
-            res = frozenset(states)
-            memo[node] = res
-            return res
-
-        return rec(t)
+            if sym is None:  # first visit
+                number = seen.get(id(node))
+                if number is not None:
+                    finished.append(number)
+                    continue
+                sym = self.alphabet.symbol(name, len(children))
+                if children:  # evaluate the children first
+                    stack.append((node, sym))
+                    stack.extend([(c, None) for c in reversed(children)])
+                    continue
+            split = len(finished) - len(children)
+            key = (name, tuple(finished[split:]))
+            del finished[split:]
+            number = numbers.get(key)
+            if number is None:
+                states: set[int] = set()
+                for combo in itertools.product(*[reached[k] for k in key[1]]):
+                    states |= self._targets_ids(sym, combo)
+                number = numbers[key] = len(reached)
+                reached.append(frozenset(states))
+            seen[id(node)] = number
+            finished.append(number)
+        return reached[finished[0]]
 
     def __repr__(self):
         return (f"<TreeAutomaton {self.name}: {len(self._ids)} states,"

@@ -168,20 +168,50 @@ class Manager:
             out.append((self.var_index(j // k, banks[j % k]), bit))
         return out
 
-    def from_cube(self, cube: Cube, leaf: Leaf, banks: Sequence[int] = (0,)) -> Ref:
+    def from_cube(self, cube: Cube, leaf: Leaf, banks: Sequence[int] = (0,),
+                  onto: Ref | None = None) -> Ref:
         """Diagram mapping every assignment compatible with ``cube`` to ``leaf``.
 
-        All other assignments map to bottom.  Don't-care positions produce
-        no decision node, so one cube can stand for a whole set of symbols.
+        All other assignments keep their value in ``onto`` (bottom by
+        default), so this writes one cube over an existing root.
+        Don't-care positions produce no decision node, so one cube can
+        stand for a whole set of symbols.
+
+        Only the paths of ``onto`` inside the cube are rebuilt: at a level
+        the cube binds, the other child is reused as it is, so a total
+        codeword costs one ``node`` call per bound variable however large
+        ``onto`` is.  Canonicity makes the result the same handle as
+        merging a one-cube diagram over ``onto`` with ``apply``.
         """
         self._check_owned(leaf)
-        ref: Ref = leaf
-        for var, bit in reversed(self._bindings(cube, banks)):
-            if bit == 1:
-                ref = self.node(var, self.bottom, ref)
-            else:
-                ref = self.node(var, ref, self.bottom)
-        return ref
+        if onto is None:
+            onto = self.bottom
+        self._check_owned(onto)
+        bindings = self._bindings(cube, banks)
+        cache: dict[tuple, Ref] = {}
+
+        def rec(a: Ref, k: int) -> Ref:
+            if k == len(bindings):
+                return leaf
+            key = (a, k)
+            res = cache.get(key)
+            if res is None:
+                var, bit = bindings[k]
+                if a.var < var:  # a level the cube leaves free
+                    res = self.node(a.var, rec(a.low, k), rec(a.high, k))
+                elif a.var == var:
+                    if bit == 1:
+                        res = self.node(var, a.low, rec(a.high, k + 1))
+                    else:
+                        res = self.node(var, rec(a.low, k + 1), a.high)
+                elif bit == 1:  # a level the root skips
+                    res = self.node(var, a, rec(a, k + 1))
+                else:
+                    res = self.node(var, rec(a, k + 1), a)
+                cache[key] = res
+            return res
+
+        return rec(onto, 0)
 
     # -- core recursions -----------------------------------------------------
 

@@ -16,18 +16,37 @@ def term(name: str, *children: Term) -> Term:
 
 def term_height(t: Term) -> int:
     """Height counted in nodes: a single leaf has height 1."""
-    name, children = t
-    return 1 + max((term_height(c) for c in children), default=0)
+    best = 0
+    stack = [(t, 1)]
+    while stack:
+        (_, children), depth = stack.pop()
+        best = max(best, depth)
+        stack.extend((c, depth + 1) for c in children)
+    return best
 
 
 def format_term(t: Term) -> str:
-    name, children = t
-    if not children:
-        return name
-    return f"{name}({','.join(format_term(c) for c in children)})"
+    out = []
+    stack: list = [t]  # terms still to write, and literal punctuation
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        name, children = item
+        out.append(name)
+        if children:
+            out.append("(")
+            stack.append(")")
+            for i, c in enumerate(reversed(children)):
+                if i:
+                    stack.append(",")
+                stack.append(c)
+    return "".join(out)
 
 
 def parse_term(text: str) -> Term:
+    """Parse with an explicit stack of open nodes, so depth is unbounded."""
     pos = 0
 
     def skip_ws():
@@ -44,34 +63,37 @@ def parse_term(text: str) -> Term:
             raise ValueError(f"expected a symbol name at position {start}: {text!r}")
         return text[start:pos]
 
-    def node() -> Term:
-        nonlocal pos
+    open_nodes: list[tuple[str, list]] = []  # names awaiting their ")"
+    while True:
         skip_ws()
         name = name_token()
         skip_ws()
         if pos < len(text) and text[pos] == "(":
             pos += 1
             skip_ws()
-            children = []
-            if pos < len(text) and text[pos] == ")":
+            if pos >= len(text) or text[pos] != ")":
+                open_nodes.append((name, []))
+                continue  # parse the first child
+            pos += 1
+        done: Term = (name, ())
+        # Hand the finished term to its parent, closing parents as we go.
+        while open_nodes:
+            open_nodes[-1][1].append(done)
+            skip_ws()
+            if pos >= len(text):
+                raise ValueError(f"unterminated term: {text!r}")
+            if text[pos] == ",":
                 pos += 1
-                return (name, ())
-            while True:
-                children.append(node())
-                skip_ws()
-                if pos >= len(text):
-                    raise ValueError(f"unterminated term: {text!r}")
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    return (name, tuple(children))
+                break  # parse the next sibling
+            if text[pos] != ")":
                 raise ValueError(f"unexpected {text[pos]!r} at position {pos}: {text!r}")
-        return (name, ())
+            pos += 1
+            parent, children = open_nodes.pop()
+            done = (parent, tuple(children))
+        else:
+            break
 
-    result = node()
     skip_ws()
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text!r}")
-    return result
+    return done

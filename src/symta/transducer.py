@@ -58,7 +58,8 @@ class Transducer(StateMachine):
         tgt = frozenset(self.state_id(t) for t in targets)
         if not tgt:
             raise ValueError("target set must be non-empty")
-        self._insert_pair_cube(self.alphabet.encode_pair(f, g), src, tgt)
+        self._store(src, self.alphabet.encode_pair(f, g),
+                    (INPUT_BANK, OUTPUT_BANK), tgt)
 
     def insert_rule_cube(self, input_cube: Cube, source: Sequence[str],
                          output_cube: Cube, targets: Iterable[str]):
@@ -67,16 +68,8 @@ class Transducer(StateMachine):
         tgt = frozenset(self.state_id(t) for t in targets)
         if not tgt:
             raise ValueError("target set must be non-empty")
-        self._insert_pair_cube(self.alphabet.pair_cube(input_cube, output_cube),
-                               src, tgt)
-
-    def _insert_pair_cube(self, pair_cube: Cube, src: tuple[int, ...],
-                          tgt: frozenset):
-        m = self.manager
-        rule = m.from_cube(pair_cube, m.leaf(tgt), banks=(INPUT_BANK, OUTPUT_BANK))
-        old = self.index.get(src) or m.bottom
-        new = m.apply(old, rule, lambda x, y: x if not y else y)
-        self.index.set(src, new, m.bottom)
+        self._store(src, self.alphabet.pair_cube(input_cube, output_cube),
+                    (INPUT_BANK, OUTPUT_BANK), tgt)
 
     def get_rule(self, in_symbol: str | Symbol, source: Sequence[str],
                  out_symbol: str | Symbol) -> frozenset:

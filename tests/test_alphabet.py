@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from symta.alphabet import Alphabet, Symbol
-from symta.mtbdd import X, cube_from_text, cube_to_text
+from symta.mtbdd import X, cube_covers, cube_from_text, cube_to_text
 
 
 def test_name_major_codeword_assignment(mixed_alphabet):
@@ -126,3 +128,27 @@ def test_total_cube_decodes_to_codeword_owners(mixed_alphabet):
     for code, names in [("00", {"a"}), ("01", {"b"}), ("10", {"c"}), ("11", {"d"})]:
         found = {s.name for s in mixed_alphabet.decode_cube(cube_from_text(code))}
         assert found == names
+
+
+def test_decode_cube_matches_a_covering_scan():
+    """Against a brute-force scan of every symbol: alphabets frozen wider
+    than needed leave codes without symbols, and names carry several
+    arities."""
+    rng = random.Random(114)
+    for trial in range(150):
+        alphabet = Alphabet()
+        names = rng.randint(1, 40)
+        for i in range(names):
+            for arity in rng.sample(range(4), rng.randint(1, 3)):
+                alphabet.add_symbol(f"s{i}", arity)
+        alphabet.freeze((names - 1).bit_length() + rng.randint(0, 3))
+        for _ in range(20):
+            dont_care = rng.choice((0.2, 0.5, 0.9))
+            cube = tuple(X if rng.random() < dont_care else rng.randint(0, 1)
+                         for _ in range(alphabet.width))
+            for arity in (None, 0, 1, 2, 3):
+                expected = [
+                    s for s in alphabet.symbols
+                    if (arity is None or s.arity == arity)
+                    and cube_covers(cube, alphabet.encode(s))]
+                assert alphabet.decode_cube(cube, arity) == expected, trial

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from symta import Alphabet, Manager, TreeAutomaton, parse_term
+from symta.io import alphabet_from_documents, build_automaton, parse_timbuk_document
 from symta.ops import union
 
 
@@ -169,3 +171,40 @@ def test_stats_summary(sample_automaton):
     assert info["finals"] == 1
     assert info["super_states"] == {0: 1, 1: 2, 2: 1}
     assert info["mtbdd_nodes"] > 0
+
+
+@pytest.mark.parametrize("banks", [1, 3])
+def test_loading_is_path_local_in_node_calls(banks):
+    """One rule per symbol of a 2^12-symbol alphabet, all on one super-state
+    with random targets, so the stored diagram grows large: each insertion
+    must still make at most num_vars + 1 node calls, not walk the diagram."""
+    rng = random.Random(12)
+    names = [f"s{i}" for i in range(1 << 12)]
+    text = "\n".join([
+        "Ops " + " ".join(f"{name}:0" for name in names),
+        "Automaton W",
+        "States q0 q1 q2 q3",
+        "Final States q0",
+        "Transitions",
+        *(f"{name} -> q{rng.randint(0, 3)}" for name in names),
+    ]) + "\n"
+    doc = parse_timbuk_document(text)
+    alphabet = alphabet_from_documents(doc)
+    manager = Manager(alphabet.width, banks)
+    budget = len(names) * (manager.num_vars + 1)
+    calls = 0
+    node = manager.node
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise AssertionError(f"more than {budget} node calls")
+        return node(*args)
+
+    manager.node = counted
+    aut = build_automaton(doc, alphabet, manager)
+    assert manager.node_count(aut.initial_root()) > 1000  # a large diagram
+    for name in ("s0", "s1234", names[-1]):
+        assert aut.get_transition(name, ()) == {
+            rule.target for rule in doc.rules if rule.symbol == name}

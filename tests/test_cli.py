@@ -87,6 +87,15 @@ def test_member_two_step_chain(files, capsys):
     assert (code, out) == (1, "no\n")
 
 
+@pytest.mark.parametrize("height, expected", [(10_000, (0, "yes\n")),
+                                              (10_001, (1, "no\n"))])
+def test_member_on_a_very_deep_term(files, capsys, height, expected):
+    # LOOP accepts f^k(a) exactly for odd k; the term has k + 1 nodes.
+    deep = "f(" * (height - 1) + "a" + ")" * (height - 1)
+    code, out, _ = run(capsys, "member", files["loop.tmb"], "-t", deep)
+    assert (code, out) == expected
+
+
 def test_union_output_includes_operand(files, capsys, tmp_path):
     out_path = str(tmp_path / "u.tmb")
     code, _, _ = run(capsys, "union", files["loop.tmb"], files["single.tmb"],

@@ -87,6 +87,43 @@ def test_width_zero_manager_works_throughout():
     assert m.project(root, ()) is root
 
 
+OVERWRITE = lambda x, y: x if not y else y
+
+
+def _random_cube(rng, length, dont_care=0.3):
+    return tuple(X if rng.random() < dont_care else rng.randint(0, 1)
+                 for _ in range(length))
+
+
+def test_from_cube_onto_root_is_the_overwrite_apply_handle():
+    """Writing a cube onto a root gives the very handle of merging the
+    one-cube diagram over it with an overwrite functor."""
+    rng = random.Random(20240)
+    for trial in range(400):
+        width, banks = rng.randint(0, 12), rng.randint(1, 3)
+        m = Manager(width, banks)
+        every_bank = tuple(range(banks))
+        root = m.bottom
+        for _ in range(rng.randint(0, 12)):
+            cube = _random_cube(rng, width * banks, dont_care=0.5)
+            root = m.apply(root, m.from_cube(cube, m.leaf([rng.randint(0, 3)]),
+                                             every_bank), UNION)
+        for _ in range(4):
+            some_banks = tuple(sorted(rng.sample(every_bank,
+                                                 rng.randint(1, banks))))
+            cube = _random_cube(rng, width * len(some_banks))
+            leaf = m.leaf(rng.sample(range(5), rng.randint(1, 2)))
+            expected = m.apply(root, m.from_cube(cube, leaf, some_banks), OVERWRITE)
+            assert m.from_cube(cube, leaf, some_banks, onto=root) is expected, trial
+            root = expected
+
+
+def test_from_cube_onto_rejects_foreign_root():
+    m1, m2 = Manager(2), Manager(2)
+    with pytest.raises(ValueError):
+        m1.from_cube((0, 1), m1.leaf([1]), onto=m2.from_cube((1, 1), m2.leaf([1])))
+
+
 # -- apply ----------------------------------------------------------------------
 
 def _ranged_diagram(m, entries):
