@@ -33,6 +33,8 @@ class Alphabet:
         self._by_key: dict[tuple[str, int], Symbol] = {}
         self._names: list[str] = []  # distinct names, first-registration order
         self._codes: dict[str, int] = {}
+        #: name -> codeword, filled at freeze time
+        self._codewords: dict[str, Cube] = {}
         #: code -> (registration index, symbol) of every symbol it names
         self._by_code: dict[int, list[tuple[int, Symbol]]] = {}
         self._width: int | None = None
@@ -67,6 +69,9 @@ class Alphabet:
         elif width < needed:
             raise ValueError(f"width {width} below required {needed}")
         self._width = width
+        for name, code in self._codes.items():
+            self._codewords[name] = tuple((code >> (width - 1 - i)) & 1
+                                          for i in range(width))
         for i, sym in enumerate(self._symbols):
             self._by_code.setdefault(self._codes[sym.name], []).append((i, sym))
         return self
@@ -108,12 +113,9 @@ class Alphabet:
         """Total 0/1 cube of the symbol's codeword, most significant bit first."""
         if (symbol.name, symbol.arity) not in self._by_key:
             raise KeyError(f"unknown symbol {symbol}")
-        return self._codeword(symbol.name)
-
-    def _codeword(self, name: str) -> Cube:
-        n = self.width
-        code = self._codes[name]
-        return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+        if self._width is None:
+            raise ValueError("alphabet is not frozen yet")
+        return self._codewords[symbol.name]
 
     def decode_cube(self, cube: Cube, arity: int | None = None) -> list[Symbol]:
         """Registered symbols whose codeword is compatible with the cube,

@@ -50,6 +50,16 @@ class SuperStateIndex:
     def containing(self, state: int, arity: int) -> list[tuple[int, ...]]:
         return [sp for sp in self.tuples(arity) if state in sp]
 
+    def unite(self, manager: Manager, sets: Sequence) -> Ref:
+        """Union of the roots of the stored tuples of arity ``len(sets)``
+        whose i-th component lies in ``sets[i]``; bottom when none does."""
+        union = manager.bottom
+        for sp, root in self._buckets.get(len(sets), {}).items():
+            if all(q in members for q, members in zip(sp, sets)):
+                union = (root if union is manager.bottom
+                         else manager.apply(union, root, lambda x, y: x | y))
+        return union
+
     def items(self):
         for arity in self.arities():
             bucket = self._buckets[arity]
@@ -137,6 +147,14 @@ class StateMachine:
     def final_names(self) -> tuple[str, ...]:
         return tuple(self._name_of[sid] for sid in self._ids if sid in self.finals)
 
+    def _resolve(self, symbol: str | Symbol, arity: int) -> Symbol:
+        """The registered symbol of this name (or Symbol) at ``arity``."""
+        if isinstance(symbol, Symbol):
+            if symbol.arity != arity:
+                raise ValueError(f"symbol {symbol} used with arity {arity}")
+            return self.alphabet.symbol(symbol.name, symbol.arity)
+        return self.alphabet.symbol(symbol, arity)
+
     # -- shared index access ------------------------------------------------
 
     def super_states(self, arity: int) -> list[tuple[int, ...]]:
@@ -157,27 +175,15 @@ class StateMachine:
             "mtbdd_nodes": self.manager.node_count(*roots),
         }
 
-    def _store(self, src: tuple[int, ...], cube, banks, targets: frozenset):
-        """Write ``targets`` over the cube of ``src``'s stored root."""
+    def _store(self, source: Sequence[str], cube, banks, targets: Iterable[str]):
+        """Write the named targets over the cube of the named source's root."""
+        src = tuple(self.state_id(s) for s in source)
+        tgt = frozenset(self.state_id(t) for t in targets)
+        if not tgt:
+            raise ValueError("target set must be non-empty; absence encodes the sink")
         m = self.manager
         old = self.index.get(src) or m.bottom
-        self.index.set(src, m.from_cube(cube, m.leaf(targets), banks, onto=old),
-                       m.bottom)
-
-    def _collect_targets(self, root: Ref | None, cube, banks) -> frozenset:
-        """Project a root onto a cube and gather the surviving leaves."""
-        if root is None:
-            return frozenset()
-        m = self.manager
-        projected = m.project(root, cube, banks)
-        collected: set[int] = set()
-
-        def collect(leaf):
-            collected.update(leaf)
-            return leaf
-
-        m.monadic_apply(projected, collect)
-        return frozenset(collected)
+        self.index.set(src, m.from_cube(cube, m.leaf(tgt), banks, onto=old), m.bottom)
 
 
 class TreeAutomaton(StateMachine):
@@ -190,13 +196,6 @@ class TreeAutomaton(StateMachine):
             manager = Manager(alphabet.width if alphabet.frozen else 0)
         super().__init__(alphabet, manager, name)
 
-    def _resolve(self, symbol: str | Symbol, arity: int) -> Symbol:
-        if isinstance(symbol, Symbol):
-            if symbol.arity != arity:
-                raise ValueError(f"symbol {symbol} used with arity {arity}")
-            return self.alphabet.symbol(symbol.name, symbol.arity)
-        return self.alphabet.symbol(symbol, arity)
-
     def insert_transition(self, symbol: str | Symbol, source: Sequence[str],
                           targets: Iterable[str]):
         """Set the target set for (symbol, source); last write wins.
@@ -205,11 +204,7 @@ class TreeAutomaton(StateMachine):
         the source tuple, which rebuilds only that codeword's path.
         """
         sym = self._resolve(symbol, len(source))
-        src = tuple(self.state_id(s) for s in source)
-        tgt = frozenset(self.state_id(t) for t in targets)
-        if not tgt:
-            raise ValueError("target set must be non-empty; absence encodes the sink")
-        self._store(src, self.alphabet.encode(sym), (0,), tgt)
+        self._store(source, self.alphabet.encode(sym), (0,), targets)
 
     def get_transition(self, symbol: str | Symbol, source: Sequence[str]) -> frozenset:
         """Targets of (symbol, source) as a frozenset of state names.
@@ -223,8 +218,9 @@ class TreeAutomaton(StateMachine):
         return frozenset(self._name_of[q] for q in ids)
 
     def _targets_ids(self, sym: Symbol, src: tuple[int, ...]) -> frozenset:
-        return self._collect_targets(self.index.get(src),
-                                     self.alphabet.encode(sym), (0,))
+        m = self.manager
+        return m.evaluate(self.index.get(src) or m.bottom,
+                          self.alphabet.encode(sym), (0,))
 
     # -- term membership ---------------------------------------------------
 

@@ -356,19 +356,47 @@ class Manager:
 
     # -- inspection ----------------------------------------------------------
 
-    def evaluate(self, root: Ref, assignment: Sequence[int]) -> frozenset:
-        """Value of the function at a total 0/1 assignment to all variables."""
+    def evaluate(self, root: Ref, assignment: Sequence[int],
+                 banks: Sequence[int] | None = None) -> frozenset:
+        """Value of the function at a 0/1 assignment to the given banks.
+
+        ``assignment`` is laid out like a cube over ``banks`` (all banks by
+        default, where entry ``i`` is variable ``i``).  Variables of other
+        banks stay free and their values are united, so a diagram that
+        tests only the given banks is read along one path of at most
+        ``width * len(banks)`` nodes.
+        """
         self._check_owned(root)
-        if len(assignment) != self.num_vars:
+        banks = range(self.banks) if banks is None else banks
+        if any(not 0 <= bank < self.banks for bank in banks):
+            raise ValueError(f"banks {tuple(banks)} outside 0..{self.banks - 1}")
+        k = len(banks)
+        if len(assignment) != self.width * k:
             raise ValueError(
-                f"assignment has {len(assignment)} entries, expected {self.num_vars}")
+                f"assignment has {len(assignment)} entries, expected {self.width * k}")
         for bit in assignment:
             if bit not in (0, 1):
                 raise ValueError(f"assignment entry {bit!r} is not 0 or 1")
-        ref = root
-        while ref.var != LEAF_LEVEL:
-            ref = ref.high if assignment[ref.var] else ref.low
-        return ref.value
+        slot_of = {bank: i for i, bank in enumerate(banks)}
+        values: list[frozenset] = []
+        seen: set[Ref] = set()  # free-variable nodes already branched on
+        stack = [root]
+        while stack:
+            ref = stack.pop()
+            while ref.var != LEAF_LEVEL:
+                slot = slot_of.get(ref.var % self.banks)
+                if slot is not None:
+                    bit = assignment[ref.var // self.banks * k + slot]
+                    ref = ref.high if bit else ref.low
+                elif ref in seen:
+                    break
+                else:  # a free variable: both branches count
+                    seen.add(ref)
+                    stack.append(ref.high)
+                    ref = ref.low
+            else:
+                values.append(ref.value)
+        return values[0] if len(values) == 1 else frozenset().union(*values)
 
     def iter_nodes(self, *roots: Ref):
         """Distinct internal nodes reachable from the roots, depth first."""

@@ -88,25 +88,23 @@ def union(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
 
 # -- intersection ------------------------------------------------------------
 
-def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
-    """Product automaton simulating a parallel run of both operands.
+def _product(left, right, res, combine):
+    """Pair reachability over two super-state indices, filling ``res``.
 
-    Product states are discovered lazily from the initial super-states by
-    an Apply whose functor forms the Cartesian product of the two leaf
-    sets; pairs involving the sink never appear because the empty set has
-    an empty product.  Only reachable product states are generated.
+    Result states ``s0..sk`` name reachable pairs of operand states in
+    discovery order (recorded in ``res.origins``), final when both
+    components are.  Each row is ``combine(root1, root2, meet)``, where the
+    Apply functor ``meet`` maps two leaves to the ids of their pairs.
     """
-    _require_compatible(a1, a2)
-    m = a1.manager
-    res = _result(a1, "intersection")
+    m = left.manager
     alloc = _StateAllocator(res)
     pair_id: dict[tuple[int, int], int] = {}
     queue: deque[tuple[int, int]] = deque()
 
-    def intersect(left, right):
+    def meet(lhs, rhs):
         out = set()
-        for qa in sorted(left):
-            for qb in sorted(right):
+        for qa in sorted(lhs):
+            for qb in sorted(rhs):
                 sid = pair_id.get((qa, qb))
                 if sid is None:
                     sid = alloc.fresh()
@@ -116,26 +114,37 @@ def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
                 out.add(sid)
         return out
 
-    res.index.set((), m.apply(a1.initial_root(), a2.initial_root(), intersect),
+    res.index.set((), combine(left.initial_root(), right.initial_root(), meet),
                   m.bottom)
     done: set[tuple[int, int]] = set()
     while queue:
         qa, qb = queue.popleft()
         done.add((qa, qb))
-        if qa in a1.finals and qb in a2.finals:
+        if qa in left.finals and qb in right.finals:
             res.finals.add(pair_id[(qa, qb)])
-        for n in a1.index.arities():
-            if n == 0 or not a2.index.tuples(n):
+        for n in left.index.arities():
+            if n == 0 or not right.index.tuples(n):
                 continue
-            for sp1 in a1.index.containing(qa, n):
-                for sp2 in a2.index.containing(qb, n):
-                    if all((sp1[i], sp2[i]) in done for i in range(n)):
-                        product_sp = tuple(pair_id[(sp1[i], sp2[i])]
-                                           for i in range(n))
-                        root = m.apply(a1.index.get(sp1), a2.index.get(sp2),
-                                       intersect)
-                        res.index.set(product_sp, root, m.bottom)
+            for sp1 in left.index.containing(qa, n):
+                for sp2 in right.index.containing(qb, n):
+                    if all(pair in done for pair in zip(sp1, sp2)):
+                        root = combine(left.index.get(sp1), right.index.get(sp2),
+                                       meet)
+                        res.index.set(tuple(pair_id[pair] for pair in zip(sp1, sp2)),
+                                      root, m.bottom)
     return res
+
+
+def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
+    """Product automaton simulating a parallel run of both operands.
+
+    Product states are discovered lazily from the initial super-states by
+    an Apply whose functor forms the Cartesian product of the two leaf
+    sets; pairs involving the sink never appear because the empty set has
+    an empty product.  Only reachable product states are generated.
+    """
+    _require_compatible(a1, a2)
+    return _product(a1, a2, _result(a1, "intersection"), a1.manager.apply)
 
 
 # -- determinisation -----------------------------------------------------------
@@ -143,10 +152,11 @@ def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
 def determinise(a: TreeAutomaton) -> TreeAutomaton:
     """Subset construction over macrostates, working leafwise.
 
-    For every tuple of macrostates the union of the member super-states'
-    diagrams is folded up with Apply, then a monadic pass interns each
-    union leaf as one macrostate.  The empty macrostate is the sink and is
-    neither created nor expanded, and only reachable macrostates appear.
+    For every tuple of macrostates the diagrams of the member super-states
+    are united (``SuperStateIndex.unite``), then a monadic pass interns
+    each union leaf as one macrostate.  The empty macrostate is the sink
+    and is neither created nor expanded, and only reachable macrostates
+    appear.
     """
     m = a.manager
     res = _result(a, "determinise")
@@ -171,7 +181,6 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
                 res.finals.add(macro_sid[pos])
         return frozenset({macro_sid[pos]})
 
-    union_op = lambda x, y: x | y
     res.index.set((), m.monadic_apply(a.initial_root(), collect_sets), m.bottom)
     processed: set[tuple[int, ...]] = set()
     while queue:
@@ -179,16 +188,11 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
         for n in a.index.arities():
             if n == 0:
                 continue
-            stored = [(sp, a.index.get(sp)) for sp in a.index.tuples(n)]
             for combo in itertools.product(range(len(members)), repeat=n):
                 if current not in combo or combo in processed:
                     continue
                 processed.add(combo)
-                sets = [members[i] for i in combo]
-                tmp = m.bottom
-                for sp, root in stored:
-                    if all(sp[i] in sets[i] for i in range(n)):
-                        tmp = m.apply(tmp, root, union_op)
+                tmp = a.index.unite(m, [members[i] for i in combo])
                 if tmp is not m.bottom:
                     source = tuple(macro_sid[i] for i in combo)
                     res.index.set(source, m.monadic_apply(tmp, collect_sets),
@@ -229,52 +233,13 @@ def complement(a: TreeAutomaton) -> TreeAutomaton:
 
 # -- pruning and emptiness ---------------------------------------------------
 
-def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
-    """Drop states with no witness term, keeping the language.
+def _reachable(a: TreeAutomaton):
+    """States with a witness term, yielded lazily in discovery order.
 
-    Simulates runs over all trees: states are collected from the initial
-    root's leaves, and a super-state's root is copied (shared) once all of
-    its components are reachable.
+    Simulates runs over all trees: the initial root's leaves are reached,
+    and so are the leaves of a super-state's root once all of its
+    components are.
     """
-    m = a.manager
-    res = _result(a, "prune")
-    queue: deque[int] = deque()
-
-    def collect_reachable(leaf):
-        queue.extend(sorted(leaf))
-        return leaf
-
-    pending: list[tuple[tuple[int, ...], object]] = []
-    init = a.initial_root()
-    if init is not m.bottom:
-        pending.append(((), m.monadic_apply(init, collect_reachable)))
-    reached: set[int] = set()
-    order: list[int] = []
-    while queue:
-        q = queue.popleft()
-        if q in reached:
-            continue
-        reached.add(q)
-        order.append(q)
-        for n in a.index.arities():
-            if n == 0:
-                continue
-            for sp in a.index.containing(q, n):
-                if all(c in reached for c in sp):
-                    pending.append(
-                        (sp, m.monadic_apply(a.index.get(sp), collect_reachable)))
-    alloc = _StateAllocator(res)
-    for sid in order:
-        alloc.adopt(sid)
-        if sid in a.finals:
-            res.finals.add(sid)
-    for sp, root in pending:
-        res.index.set(sp, root, m.bottom)
-    return res
-
-
-def is_empty(a: TreeAutomaton) -> bool:
-    """Emptiness via reachability, answering as soon as a final state turns up."""
     m = a.manager
     reached: set[int] = set()
     queue: deque[int] = deque()
@@ -284,9 +249,8 @@ def is_empty(a: TreeAutomaton) -> bool:
         q = queue.popleft()
         if q in reached:
             continue
-        if q in a.finals:
-            return False
         reached.add(q)
+        yield q
         for n in a.index.arities():
             if n == 0:
                 continue
@@ -294,7 +258,30 @@ def is_empty(a: TreeAutomaton) -> bool:
                 if all(c in reached for c in sp):
                     for leaf in m.leaf_values(a.index.get(sp)):
                         queue.extend(sorted(leaf))
-    return True
+
+
+def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
+    """Drop states with no witness term, keeping the language.
+
+    The reachable states keep their ids, and every super-state whose
+    components are all reachable keeps (shares) its root.
+    """
+    m = a.manager
+    res = _result(a, "prune")
+    alloc = _StateAllocator(res)
+    for sid in _reachable(a):
+        alloc.adopt(sid)
+        if sid in a.finals:
+            res.finals.add(sid)
+    for sp, root in a.index.items():
+        if all(res.has_state_id(q) for q in sp):
+            res.index.set(sp, root, m.bottom)
+    return res
+
+
+def is_empty(a: TreeAutomaton) -> bool:
+    """Emptiness via reachability, answering as soon as a final state turns up."""
+    return not any(q in a.finals for q in _reachable(a))
 
 
 # -- quotienting ---------------------------------------------------------------
@@ -319,6 +306,20 @@ class QuotientMap:
                     raise ValueError(f"state {q} appears in two classes")
                 class_of[q] = idx
         return cls(class_of, reps)
+
+    @classmethod
+    def from_relation(cls, states, related) -> "QuotientMap":
+        """Classes of an equivalence given as a predicate on state pairs:
+        each state not yet placed opens a block with every state related
+        to it."""
+        blocks: list[set[int]] = []
+        placed: set[int] = set()
+        for p in states:
+            if p not in placed:
+                block = {p} | {q for q in states if q != p and related(p, q)}
+                placed |= block
+                blocks.append(block)
+        return cls.from_classes(blocks)
 
     @classmethod
     def identity(cls, states) -> "QuotientMap":
@@ -415,20 +416,7 @@ def compute_congruence(a: TreeAutomaton) -> QuotientMap:
         if frozenset(eq) == prev:
             break
 
-    # blocks of the pair relation restricted to real states
-    blocks: list[set[int]] = []
-    assigned: dict[int, set[int]] = {}
-    for p in states:
-        home = assigned.get(p)
-        if home is None:
-            home = {p}
-            blocks.append(home)
-            assigned[p] = home
-            for q in states:
-                if q != p and (p, q) in eq:
-                    home.add(q)
-                    assigned[q] = home
-    return QuotientMap.from_classes(blocks)
+    return QuotientMap.from_relation(states, lambda p, q: (p, q) in eq)
 
 
 def minimise(a: TreeAutomaton) -> TreeAutomaton:
@@ -451,50 +439,33 @@ def downward_simulation(a: TreeAutomaton) -> frozenset:
     """
     m = a.manager
     states = list(a.states)
-    sim: set[tuple[int, int]] = {(p, q) for p in states for q in states}
     partners: dict[int, set[int]] = {p: set(states) for p in states}
-    union_op = lambda x, y: x | y
 
     changed = True
     while changed:
         changed = False
         for n in a.index.arities():
-            tuples = a.index.tuples(n)
-            for sp in tuples:
-                tmp = m.bottom
-                for other in tuples:
-                    if all((sp[i], other[i]) in sim for i in range(n)):
-                        tmp = m.apply(tmp, a.index.get(other), union_op)
+            for sp in a.index.tuples(n):
+                tmp = a.index.unite(m, [partners[q] for q in sp])
 
                 def refine(left, right):
                     nonlocal changed
-                    for q in sorted(left):
-                        for r in sorted(partners[q] - right):
-                            sim.discard((q, r))
-                            partners[q].discard(r)
+                    for q in left:
+                        lost = partners[q] - right
+                        if lost:
+                            partners[q] -= lost
                             changed = True
                     return frozenset()
 
                 m.apply(a.index.get(sp), tmp, refine)
-    return frozenset(sim)
+    return frozenset((p, q) for p in states for q in partners[p])
 
 
 def reduce_by_simulation(a: TreeAutomaton) -> TreeAutomaton:
     """Quotient by mutual downward simulation; language preserved."""
     sim = downward_simulation(a)
-    blocks: list[set[int]] = []
-    placed: dict[int, set[int]] = {}
-    for p in a.states:
-        if p in placed:
-            continue
-        block = {p}
-        for q in a.states:
-            if q != p and (p, q) in sim and (q, p) in sim:
-                block.add(q)
-        for q in block:
-            placed[q] = block
-        blocks.append(block)
-    return reduce_by_equivalence(a, QuotientMap.from_classes(blocks))
+    return reduce_by_equivalence(a, QuotientMap.from_relation(
+        a.states, lambda p, q: (p, q) in sim and (q, p) in sim))
 
 
 # -- language inclusion ----------------------------------------------------------
@@ -552,7 +523,6 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
                 work.append((q, right))
         return frozenset()
 
-    union_op = lambda x, y: x | y
     m.apply(a1.initial_root(), a2.initial_root(), collect_products)
     while work:
         q, partners = work.popleft()
@@ -564,18 +534,12 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
             if n == 0:
                 continue
             for sp1 in a1.index.containing(q, n):
-                families = [antichain.family(c) for c in sp1]
-                if any(not f for f in families):
-                    continue
-                for combo in itertools.product(*families):
+                for combo in itertools.product(*map(antichain.family, sp1)):
                     if not any(sp1[i] == q and combo[i] == partners
                                for i in range(n)):
                         continue
-                    tmp = m.bottom
-                    for sp2 in a2.index.tuples(n):
-                        if all(sp2[i] in combo[i] for i in range(n)):
-                            tmp = m.apply(tmp, a2.index.get(sp2), union_op)
-                    m.apply(a1.index.get(sp1), tmp, collect_products)
+                    m.apply(a1.index.get(sp1), a2.index.unite(m, combo),
+                            collect_products)
     return True
 
 

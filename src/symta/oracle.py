@@ -113,14 +113,16 @@ def reachable_map(x: ExplicitTA, terms) -> dict:
 
 
 def accepts_term(x: ExplicitTA, t: Term) -> bool:
+    # post-order with an explicit stack, so deep terms need no recursion
     subterms: list[Term] = []
-
-    def collect(node: Term):
-        for child in node[1]:
-            collect(child)
-        subterms.append(node)
-
-    collect(t)
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            subterms.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node[1]))
     # keep subterm-closure order, drop duplicates
     ordered = list(dict.fromkeys(subterms))
     return bool(reachable_map(x, ordered)[t] & x.finals)

@@ -208,3 +208,77 @@ def test_loading_is_path_local_in_node_calls(banks):
     for name in ("s0", "s1234", names[-1]):
         assert aut.get_transition(name, ()) == {
             rule.target for rule in doc.rules if rule.symbol == name}
+
+
+def _source_tuples(machine, arity):
+    return itertools.product(machine.state_names, repeat=arity)
+
+
+def test_point_lookups_agree_between_one_and_three_banks():
+    """get_transition reads the same targets from a 1-bank and a 3-bank
+    manager, and the explicit rules of the oracle; get_rule reads a
+    transducer's explicit rules; an apply_step image, whose rows went
+    through bank trimming and renaming, answers like its 1-bank copy."""
+    from symta.oracle import (explicit_transducer_rules, from_explicit,
+                              random_alphabet, random_automaton,
+                              random_transducer, to_explicit)
+    from symta.transducer import apply_step, transducer_manager
+
+    for seed in range(12):
+        alphabet = random_alphabet(random.Random(seed), max_symbols=5)
+        one = random_automaton(random.Random(seed), alphabet, Manager(alphabet.width))
+        three = random_automaton(random.Random(seed), alphabet,
+                                 Manager(alphabet.width, banks=3))
+        rules = to_explicit(one).rule_map()
+        for sym in alphabet.symbols:
+            for src in _source_tuples(one, sym.arity):
+                expected = rules.get((sym.name, src), frozenset())
+                assert one.get_transition(sym, src) == expected, (seed, sym, src)
+                assert three.get_transition(sym, src) == expected, (seed, sym, src)
+
+        rng = random.Random(seed)
+        tr = random_transducer(rng, alphabet, transducer_manager(alphabet))
+        rule_set = explicit_transducer_rules(tr)
+        for f in alphabet.symbols:
+            for src in _source_tuples(tr, f.arity):
+                for g in alphabet.symbols:
+                    if g.arity != f.arity:
+                        continue
+                    expected = {t for (f_name, s, g_name, t) in rule_set
+                                if (f_name, s, g_name) == (f.name, src, g.name)}
+                    assert tr.get_rule(f, src, g) == expected, (seed, f, src, g)
+
+        image = apply_step(tr, random_automaton(rng, alphabet, tr.manager))
+        copy = from_explicit(to_explicit(image), Manager(alphabet.width))
+        for sym in alphabet.symbols:
+            for src in _source_tuples(image, sym.arity):
+                assert image.get_transition(sym, src) == \
+                    copy.get_transition(sym, src), (seed, sym, src)
+
+
+def test_unite_is_the_fold_of_the_selected_rows():
+    """unite returns the handle of folding the union functor over the stored
+    tuples whose components lie in the given sets, in sorted order, empty
+    sets and an arity without a bucket included."""
+    from symta.oracle import random_alphabet, random_automaton
+
+    rng = random.Random(515)
+    for trial in range(60):
+        alphabet = random_alphabet(rng)
+        aut = random_automaton(rng, alphabet, Manager(alphabet.width))
+        m, states = aut.manager, aut.states
+        for arity in range(4):  # random alphabets stop at arity 2
+            for _ in range(6):
+                sets = [frozenset(q for q in states if rng.random() < 0.6)
+                        for _ in range(arity)]
+                if arity and rng.random() < 0.3:
+                    sets[rng.randrange(arity)] = frozenset()
+                expected = m.bottom
+                for sp in aut.index.tuples(arity):
+                    if all(sp[i] in sets[i] for i in range(arity)):
+                        expected = m.apply(expected, aut.index.get(sp),
+                                           lambda x, y: x | y)
+                assert aut.index.unite(m, sets) is expected, (trial, arity)
+                if not all(sets):
+                    assert expected is m.bottom
+        assert aut.index.unite(m, [frozenset(states)] * 3) is m.bottom

@@ -343,6 +343,38 @@ def test_evaluate_sample_initial_root(sample_automaton):
     assert m.evaluate(root, (0, 0)) == frozenset()
 
 
+def test_evaluate_over_banks_gathers_the_projected_leaves():
+    """A codeword over some banks reads the union of the leaves that
+    projecting onto it keeps: the other banks' variables stay free."""
+    rng = random.Random(8101)
+    for trial in range(300):
+        width, banks = rng.randint(0, 8), rng.randint(1, 3)
+        m = Manager(width, banks)
+        every_bank = tuple(range(banks))
+        root = m.bottom
+        for _ in range(rng.randint(0, 10)):
+            cube = _random_cube(rng, width * banks, dont_care=0.5)
+            root = m.from_cube(cube, m.leaf(rng.sample(range(6), rng.randint(1, 2))),
+                               every_bank, onto=root)
+        for _ in range(4):
+            some_banks = tuple(sorted(rng.sample(every_bank, rng.randint(1, banks))))
+            codeword = tuple(rng.randint(0, 1) for _ in range(width * len(some_banks)))
+            expected = frozenset().union(
+                *m.leaf_values(m.project(root, codeword, some_banks)))
+            assert m.evaluate(root, codeword, some_banks) == expected, trial
+        full = tuple(rng.randint(0, 1) for _ in range(m.num_vars))
+        assert m.evaluate(root, full) == m.evaluate(root, full, every_bank), trial
+
+
+def test_evaluate_checks_the_banks_layout():
+    m = Manager(2, banks=2)
+    assert m.evaluate(m.bottom, (0, 1), (1,)) == frozenset()
+    with pytest.raises(ValueError):
+        m.evaluate(m.bottom, (0, 1), (2,))  # no such bank
+    with pytest.raises(ValueError):
+        m.evaluate(m.bottom, (0, 1), (0, 1))  # two banks need four entries
+
+
 # -- structural invariants -------------------------------------------------------------
 
 def _random_entries(rng, width, count):

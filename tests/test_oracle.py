@@ -77,6 +77,29 @@ def test_accepts_term_agrees_with_symbolic(sample_automaton):
         assert accepts_term(x, t) == sample_automaton.accepts(t)
 
 
+@pytest.mark.parametrize("final", ["odd", "even"])
+def test_accepts_term_on_a_deep_unary_term(final):
+    """The oracle walks a term of height 2,000 without recursion and agrees
+    with the symbolic membership: the term is accepted when the final
+    state is the one an odd number of f's reaches, rejected otherwise."""
+    alphabet = Alphabet()
+    alphabet.add_symbol("a", 0)
+    alphabet.add_symbol("f", 1)
+    alphabet.freeze()
+    aut = TreeAutomaton(alphabet, Manager(alphabet.width))
+    aut.add_state("even")
+    aut.add_state("odd")
+    aut.set_final(final)
+    aut.insert_transition("a", (), ["even"])
+    aut.insert_transition("f", ("even",), ["odd"])
+    aut.insert_transition("f", ("odd",), ["even"])
+    t = ("a", ())
+    for _ in range(1999):  # height 2,000 with 1,999 f's
+        t = ("f", (t,))
+    assert aut.accepts(t) == (final == "odd")
+    assert accepts_term(to_explicit(aut), t) == aut.accepts(t)
+
+
 def test_all_terms_upto_counts():
     alphabet = Alphabet()
     alphabet.add_symbol("a", 0)
