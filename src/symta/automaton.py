@@ -11,6 +11,7 @@ cross-automaton Apply is sound.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Iterable, Sequence
 
@@ -25,10 +26,20 @@ class SuperStateIndex:
     An entry exists iff its root is not the bottom constant, so the stored
     arity-n tuples are exactly the super-states with at least one
     transition.
+
+    A position index maps (arity, position, state) to the stored tuples
+    carrying that state at that position, in ascending order, so
+    ``containing`` and ``unite`` cost time in the tuples they return or
+    fold rather than in the whole bucket.  An arity's position index is
+    built on its first lookup and kept current by ``set`` from then on;
+    indices that are only written (results under construction) never pay
+    for it.
     """
 
     def __init__(self):
         self._buckets: dict[int, dict[tuple[int, ...], Ref]] = {}
+        #: arity -> one {state: ascending tuples} map per position
+        self._positions: dict[int, list[dict[int, list[tuple[int, ...]]]]] = {}
 
     def get(self, source: tuple[int, ...]) -> Ref | None:
         bucket = self._buckets.get(len(source))
@@ -36,10 +47,27 @@ class SuperStateIndex:
 
     def set(self, source: tuple[int, ...], root: Ref, bottom: Ref):
         bucket = self._buckets.setdefault(len(source), {})
+        positions = self._positions.get(len(source))
         if root is bottom:
-            bucket.pop(source, None)
+            if bucket.pop(source, None) is not None and positions is not None:
+                for by_state, q in zip(positions, source):
+                    row = by_state[q]
+                    del row[bisect.bisect_left(row, source)]
         else:
+            if source not in bucket and positions is not None:
+                for by_state, q in zip(positions, source):
+                    bisect.insort(by_state.setdefault(q, []), source)
             bucket[source] = root
+
+    def _positions_of(self, arity: int) -> list[dict[int, list[tuple[int, ...]]]]:
+        positions = self._positions.get(arity)
+        if positions is None:
+            positions = [{} for _ in range(arity)]
+            for sp in sorted(self._buckets.get(arity, ())):
+                for by_state, q in zip(positions, sp):
+                    by_state.setdefault(q, []).append(sp)
+            self._positions[arity] = positions
+        return positions
 
     def arities(self) -> list[int]:
         return sorted(n for n, bucket in self._buckets.items() if bucket)
@@ -47,17 +75,37 @@ class SuperStateIndex:
     def tuples(self, arity: int) -> list[tuple[int, ...]]:
         return sorted(self._buckets.get(arity, ()))
 
-    def containing(self, state: int, arity: int) -> list[tuple[int, ...]]:
-        return [sp for sp in self.tuples(arity) if state in sp]
+    def containing(self, state: int, arity: int,
+                   position: int | None = None) -> list[tuple[int, ...]]:
+        """Stored arity-n tuples holding ``state`` (at ``position`` when
+        given, anywhere otherwise), in ascending order."""
+        positions = self._positions_of(arity)
+        if position is not None:
+            return list(positions[position].get(state, ()))
+        return sorted({sp for by_state in positions for sp in by_state.get(state, ())})
 
     def unite(self, manager: Manager, sets: Sequence) -> Ref:
         """Union of the roots of the stored tuples of arity ``len(sets)``
-        whose i-th component lies in ``sets[i]``; bottom when none does."""
+        whose i-th component lies in ``sets[i]``; bottom when none does.
+
+        Only the tuples listed under the smallest set's position are
+        tested.  Handles are canonical, so the fold order does not change
+        the result.
+        """
+        bucket = self._buckets.get(len(sets))
+        if not bucket:
+            return manager.bottom
+        if not sets:
+            return bucket[()]
+        i = min(range(len(sets)), key=lambda j: len(sets[j]))
+        by_state = self._positions_of(len(sets))[i]
         union = manager.bottom
-        for sp, root in self._buckets.get(len(sets), {}).items():
-            if all(q in members for q, members in zip(sp, sets)):
-                union = (root if union is manager.bottom
-                         else manager.apply(union, root, lambda x, y: x | y))
+        for q in sets[i]:
+            for sp in by_state.get(q, ()):
+                if all(p in members for p, members in zip(sp, sets)):
+                    root = bucket[sp]
+                    union = (root if union is manager.bottom
+                             else manager.apply(union, root, lambda x, y: x | y))
         return union
 
     def items(self):

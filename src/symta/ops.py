@@ -95,6 +95,11 @@ def _product(left, right, res, combine):
     discovery order (recorded in ``res.origins``), final when both
     components are.  Each row is ``combine(root1, root2, meet)``, where the
     Apply functor ``meet`` maps two leaves to the ids of their pairs.
+
+    A pair of stored rows is combined once, at the dequeue of the last of
+    its component pairs, which it holds at some position i; so only the
+    rows holding the dequeued pair at one position (the operands' position
+    indices) are candidates, taken in sorted order.
     """
     m = left.manager
     alloc = _StateAllocator(res)
@@ -123,15 +128,19 @@ def _product(left, right, res, combine):
         if qa in left.finals and qb in right.finals:
             res.finals.add(pair_id[(qa, qb)])
         for n in left.index.arities():
-            if n == 0 or not right.index.tuples(n):
+            if n == 0:
                 continue
-            for sp1 in left.index.containing(qa, n):
-                for sp2 in right.index.containing(qb, n):
-                    if all(pair in done for pair in zip(sp1, sp2)):
-                        root = combine(left.index.get(sp1), right.index.get(sp2),
-                                       meet)
-                        res.index.set(tuple(pair_id[pair] for pair in zip(sp1, sp2)),
-                                      root, m.bottom)
+            rows = set()
+            for i in range(n):
+                rights = right.index.containing(qb, n, i)
+                rows.update((sp1, sp2)
+                            for sp1 in left.index.containing(qa, n, i)
+                            for sp2 in rights
+                            if all(pair in done for pair in zip(sp1, sp2)))
+            for sp1, sp2 in sorted(rows):
+                root = combine(left.index.get(sp1), right.index.get(sp2), meet)
+                res.index.set(tuple(pair_id[pair] for pair in zip(sp1, sp2)),
+                              root, m.bottom)
     return res
 
 
@@ -157,6 +166,13 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
     each union leaf as one macrostate.  The empty macrostate is the sink
     and is neither created nor expanded, and only reachable macrostates
     appear.
+
+    The work is output-sensitive: a dequeued macrostate is combined only
+    with macrostate tuples that some stored super-state matches, found
+    through the index's positions and a state-to-macrostates map, so every
+    tuple that is united yields a row of the result.  Tuples are taken in
+    lexicographic order of macrostate indices, as a full enumeration
+    would meet them, which keeps the ``s0..sk`` naming.
     """
     m = a.manager
     res = _result(a, "determinise")
@@ -164,6 +180,7 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
     position: dict[frozenset, int] = {}   # macrostate -> index into members
     members: list[frozenset] = []
     macro_sid: list[int] = []             # index -> result state id
+    macros_of: dict[int, list[int]] = {}  # state -> indices of its macrostates
     queue: deque[int] = deque()
 
     def collect_sets(leaf):
@@ -182,21 +199,30 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
         return frozenset({macro_sid[pos]})
 
     res.index.set((), m.monadic_apply(a.initial_root(), collect_sets), m.bottom)
+    indexed = 0                           # macrostates entered in macros_of
     processed: set[tuple[int, ...]] = set()
     while queue:
         current = queue.popleft()
         for n in a.index.arities():
             if n == 0:
                 continue
-            for combo in itertools.product(range(len(members)), repeat=n):
-                if current not in combo or combo in processed:
-                    continue
+            # only the macrostates that exist when the pass starts take part
+            for k in range(indexed, len(members)):
+                for q in members[k]:
+                    macros_of.setdefault(q, []).append(k)
+            indexed = len(members)
+            combos: set[tuple[int, ...]] = set()
+            for q in members[current]:
+                for i in range(n):
+                    for sp in a.index.containing(q, n, i):
+                        choices = [macros_of.get(p, ()) for p in sp]
+                        choices[i] = (current,)
+                        combos.update(itertools.product(*choices))
+            for combo in sorted(combos - processed):
                 processed.add(combo)
-                tmp = a.index.unite(m, [members[i] for i in combo])
-                if tmp is not m.bottom:
-                    source = tuple(macro_sid[i] for i in combo)
-                    res.index.set(source, m.monadic_apply(tmp, collect_sets),
-                                  m.bottom)
+                tmp = a.index.unite(m, [members[k] for k in combo])
+                res.index.set(tuple(macro_sid[k] for k in combo),
+                              m.monadic_apply(tmp, collect_sets), m.bottom)
     return res
 
 

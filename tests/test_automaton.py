@@ -256,29 +256,70 @@ def test_point_lookups_agree_between_one_and_three_banks():
                     copy.get_transition(sym, src), (seed, sym, src)
 
 
+def _check_unite(aut, rng, label):
+    """unite against the sorted fold of the union functor over the stored
+    tuples whose components lie in random sets, empty sets and an arity
+    without a bucket included."""
+    m, states = aut.manager, aut.states
+    for arity in range(5):
+        for _ in range(6):
+            sets = [frozenset(q for q in states if rng.random() < 0.6)
+                    for _ in range(arity)]
+            if arity and rng.random() < 0.3:
+                sets[rng.randrange(arity)] = frozenset()
+            expected = m.bottom
+            for sp in aut.index.tuples(arity):
+                if all(sp[i] in sets[i] for i in range(arity)):
+                    expected = m.apply(expected, aut.index.get(sp),
+                                       lambda x, y: x | y)
+            assert aut.index.unite(m, sets) is expected, (label, arity)
+            if not all(sets):
+                assert expected is m.bottom
+    assert aut.index.unite(m, [frozenset(states)] * 5) is m.bottom
+
+
 def test_unite_is_the_fold_of_the_selected_rows():
-    """unite returns the handle of folding the union functor over the stored
-    tuples whose components lie in the given sets, in sorted order, empty
-    sets and an arity without a bucket included."""
     from symta.oracle import random_alphabet, random_automaton
 
     rng = random.Random(515)
     for trial in range(60):
         alphabet = random_alphabet(rng)
         aut = random_automaton(rng, alphabet, Manager(alphabet.width))
-        m, states = aut.manager, aut.states
-        for arity in range(4):  # random alphabets stop at arity 2
-            for _ in range(6):
-                sets = [frozenset(q for q in states if rng.random() < 0.6)
-                        for _ in range(arity)]
-                if arity and rng.random() < 0.3:
-                    sets[rng.randrange(arity)] = frozenset()
-                expected = m.bottom
-                for sp in aut.index.tuples(arity):
-                    if all(sp[i] in sets[i] for i in range(arity)):
-                        expected = m.apply(expected, aut.index.get(sp),
-                                           lambda x, y: x | y)
-                assert aut.index.unite(m, sets) is expected, (trial, arity)
-                if not all(sets):
-                    assert expected is m.bottom
-        assert aut.index.unite(m, [frozenset(states)] * 3) is m.bottom
+        _check_unite(aut, rng, trial)
+
+
+def test_position_index_follows_overwrites_and_removals():
+    """containing (anywhere and at one position) equals a filter of the
+    sorted stored tuples after random writes, overwrites and bottom
+    removals, both for arities whose position index was built before the
+    writes (kept current by set) and for ones first looked up after them;
+    unite still folds the selected rows."""
+    from symta.oracle import random_alphabet, random_automaton
+
+    rng = random.Random(707)
+    for trial in range(80):
+        alphabet = random_alphabet(rng, max_arity=3)
+        aut = random_automaton(rng, alphabet, Manager(alphabet.width))
+        aut.add_state("unused")  # a state in no stored tuple
+        m, states, index = aut.manager, aut.states, aut.index
+        roots = [root for _, root in index.items()] + [m.leaf({q}) for q in states]
+        for arity in rng.sample(range(4), 2):  # built before the writes
+            index.containing(states[0], arity)
+        for _ in range(40):
+            arity = rng.randrange(4)
+            stored = index.tuples(arity)
+            if stored and rng.random() < 0.35:
+                index.set(rng.choice(stored), m.bottom, m.bottom)
+                continue
+            sp = tuple(rng.choice(states[:-1]) for _ in range(arity))
+            index.set(sp, m.bottom if rng.random() < 0.1 else rng.choice(roots),
+                      m.bottom)
+        for arity in range(4):
+            stored = index.tuples(arity)
+            for q in states:
+                assert index.containing(q, arity) == \
+                    [sp for sp in stored if q in sp], (trial, arity, q)
+                for i in range(arity):
+                    assert index.containing(q, arity, i) == \
+                        [sp for sp in stored if sp[i] == q], (trial, arity, q, i)
+        _check_unite(aut, rng, trial)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from symta.cli import main
@@ -209,3 +211,46 @@ def test_unknown_verb_is_usage_error(capsys):
 def test_transducer_where_automaton_expected(files, capsys):
     code, _, err = run(capsys, "stats", files["ident.tmbt"])
     assert code == 4
+
+
+def _mutant(rng, text):
+    """SAMPLE with one to three random edits: a character deleted, inserted
+    or replaced (from characters the format gives meaning to), or a line
+    deleted, duplicated or swapped with another."""
+    chars = "abcdq123():,->/ \n%"
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        kind = rng.randrange(6)
+        pos = rng.randrange(len(text) + 1)
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == 0:
+            text = text[:pos] + text[pos + 1:]
+        elif kind == 1:
+            text = text[:pos] + rng.choice(chars) + text[pos:]
+        elif kind == 2:
+            text = text[:pos] + rng.choice(chars) + text[pos + 1:]
+        elif kind == 3:
+            text = "\n".join(lines[:i] + lines[i + 1:])
+        elif kind == 4:
+            text = "\n".join(lines[:i] + [lines[i]] + lines[i:])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+def test_parser_mutants_exit_0_or_4_with_a_line(capsys, tmp_path):
+    """Malformed input is a format error that names its line, never an
+    internal error: 600 seeded mutants of SAMPLE through determinise."""
+    rng = random.Random(1)
+    path = tmp_path / "mutant.tmb"
+    codes = {0: 0, 4: 0}
+    for trial in range(600):
+        text = _mutant(rng, SAMPLE)
+        path.write_text(text)
+        code, _, err = run(capsys, "determinise", str(path))
+        assert code in codes, (trial, code, err, text)
+        if code == 4:
+            assert "line" in err, (trial, err, text)
+        codes[code] += 1
+    assert codes[0] and codes[4]

@@ -1,13 +1,17 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symta import Manager, TreeAutomaton, parse_timbuk
+from symta.io import write_timbuk
 from symta.ops import (
     Antichain,
     QuotientMap,
+    _StateAllocator,
     check_inclusion_antichain,
     check_inclusion_classical,
     complement,
@@ -432,3 +436,176 @@ def test_antichain_invariant_after_every_insertion(insertions):
             for left in kept_sets:
                 for right in kept_sets:
                     assert left is right or not (left <= right or right <= left)
+
+
+# -- discovery order of the indexed worklists ----------------------------------
+
+def _reference_determinise(a):
+    """The full enumeration: every tuple of known macrostates holding the
+    dequeued one, in lexicographic order, united whether or not any stored
+    super-state matches it."""
+    m = a.manager
+    res = TreeAutomaton(a.alphabet, m, name="determinise")
+    alloc = _StateAllocator(res)
+    position, members, macro_sid, queue = {}, [], [], deque()
+
+    def collect_sets(leaf):
+        if not leaf:
+            return leaf
+        if leaf not in position:
+            position[leaf] = len(members)
+            members.append(leaf)
+            macro_sid.append(alloc.fresh())
+            res.origins[macro_sid[-1]] = leaf
+            queue.append(position[leaf])
+            if leaf & a.finals:
+                res.finals.add(macro_sid[-1])
+        return frozenset({macro_sid[position[leaf]]})
+
+    res.index.set((), m.monadic_apply(a.initial_root(), collect_sets), m.bottom)
+    processed = set()
+    while queue:
+        current = queue.popleft()
+        for n in a.index.arities():
+            if n == 0:
+                continue
+            for combo in itertools.product(range(len(members)), repeat=n):
+                if current not in combo or combo in processed:
+                    continue
+                processed.add(combo)
+                tmp = a.index.unite(m, [members[i] for i in combo])
+                if tmp is not m.bottom:
+                    res.index.set(tuple(macro_sid[i] for i in combo),
+                                  m.monadic_apply(tmp, collect_sets), m.bottom)
+    return res
+
+
+def _reference_intersection(left, right):
+    """The pair worklist that recombines, at each dequeue, every stored row
+    pair whose rows hold the dequeued states anywhere, once all of its
+    component pairs are settled."""
+    m = left.manager
+    res = TreeAutomaton(left.alphabet, m, name="intersection")
+    alloc = _StateAllocator(res)
+    pair_id, queue = {}, deque()
+
+    def meet(lhs, rhs):
+        out = set()
+        for pair in ((qa, qb) for qa in sorted(lhs) for qb in sorted(rhs)):
+            if pair not in pair_id:
+                pair_id[pair] = alloc.fresh()
+                res.origins[pair_id[pair]] = pair
+                queue.append(pair)
+            out.add(pair_id[pair])
+        return out
+
+    res.index.set((), m.apply(left.initial_root(), right.initial_root(), meet),
+                  m.bottom)
+    done = set()
+    while queue:
+        qa, qb = queue.popleft()
+        done.add((qa, qb))
+        if qa in left.finals and qb in right.finals:
+            res.finals.add(pair_id[(qa, qb)])
+        for n in left.index.arities():
+            if n == 0:
+                continue
+            for sp1 in [sp for sp in left.index.tuples(n) if qa in sp]:
+                for sp2 in [sp for sp in right.index.tuples(n) if qb in sp]:
+                    if all(pair in done for pair in zip(sp1, sp2)):
+                        root = m.apply(left.index.get(sp1), right.index.get(sp2),
+                                       meet)
+                        res.index.set(tuple(pair_id[p] for p in zip(sp1, sp2)),
+                                      root, m.bottom)
+    return res
+
+
+def _doubled_skeleton(rng, n):
+    """A random deterministic skeleton over states 0..n-1 (every state
+    reached by a rule from earlier ones, plus 2n rules on free left-hand
+    sides) whose states are doubled: a rule holds for every combination of
+    source copies and goes to the copy of its first source (the glue rule
+    g(0) to both), further rules to a random copy or to both, so every
+    non-empty subset of a copy pair is a macrostate: 3n of them."""
+    text = ["Ops a:0 b:0 g:1 h:1 f:2 k:2", "Automaton D",
+            "States " + " ".join(f"q{q}_{c}" for q in range(n) for c in (0, 1)),
+            "Final States " + " ".join(f"q{q}_{c}" for q in range(0, n, 5)
+                                       for c in (0, 1)),
+            "Transitions", "a -> q0_0", "b -> q0_1"]
+    used = {("g", (0,))}
+    rules = [("g", (0,), 0, True)]
+    for target in list(range(1, n)) + [None] * (2 * n):
+        while True:
+            sym = rng.choice("ghfk")
+            below = target if target is not None else n
+            src = tuple(rng.randrange(below) for _ in range(1 if sym in "gh" else 2))
+            if (sym, src) not in used:
+                break
+        used.add((sym, src))
+        rules.append((sym, src, rng.randrange(n) if target is None else target,
+                      target is not None))
+    for sym, src, target, spine in rules:
+        for combo in itertools.product((0, 1), repeat=len(src)):
+            lhs = f"{sym}({','.join(f'q{q}_{c}' for q, c in zip(src, combo))})"
+            if spine and target == 0:
+                copies = (0, 1)
+            elif spine:
+                copies = (combo[0],)
+            else:
+                copies = (0, 1) if rng.random() < 0.2 else (rng.randrange(2),)
+            text += [f"{lhs} -> q{target}_{c}" for c in copies]
+    return make("\n".join(text) + "\n")
+
+
+def test_determinise_unites_once_per_result_row(monkeypatch):
+    """On a doubled skeleton of 20 states determinise unites exactly the
+    macrostate tuples that become rows of its result, not every tuple of
+    macrostates (60^2 of them per binary symbol here)."""
+    from symta.automaton import SuperStateIndex
+
+    a = _doubled_skeleton(random.Random(20), 20)
+    unite = SuperStateIndex.unite
+    calls = 0
+
+    def counted(self, manager, sets):
+        nonlocal calls
+        calls += 1
+        return unite(self, manager, sets)
+
+    monkeypatch.setattr(SuperStateIndex, "unite", counted)
+    d = determinise(a)
+    assert len(d.states) == 60
+    assert calls == sum(len(d.index.tuples(n)) for n in d.index.arities() if n)
+
+
+def test_indexed_worklists_keep_the_reference_naming():
+    """determinise and intersection name their states, write their files
+    and record origins exactly as the full enumerations do, on random
+    automata with arities 0-3 and, in some, a state that only occurs in
+    sources and so lies in no macrostate and no pair."""
+    for seed in range(220):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng, max_symbols=5, max_arity=3)
+        manager = Manager(alphabet.width)
+        a = random_automaton(rng, alphabet, manager, max_states=6, name="A")
+        b = random_automaton(rng, alphabet, manager, max_states=6, name="B")
+        ranked = [s for s in alphabet.symbols if s.arity]
+        if ranked and seed % 2:
+            sym = rng.choice(ranked)
+            a.add_state("z")
+            src = ["z"] + [rng.choice(a.state_names) for _ in range(sym.arity - 1)]
+            rng.shuffle(src)
+            a.insert_transition(sym, src, [a.state_names[0]])
+        if seed % 20 == 0:  # many macrostates and pairs
+            a = _doubled_skeleton(rng, 6)
+            b = make(write_timbuk(a).replace("Automaton D", "Automaton E")
+                     .replace("q", "r"), alphabet=a.alphabet, manager=a.manager)
+        for got, expected in ((determinise(a), _reference_determinise(a)),
+                              (intersection(a, b), _reference_intersection(a, b)),
+                              (intersection(b, a), _reference_intersection(b, a))):
+            assert write_timbuk(got) == write_timbuk(expected), seed
+            assert _named_origins(got) == _named_origins(expected), seed
+
+
+def _named_origins(res):
+    return {res.state_name(sid): origin for sid, origin in res.origins.items()}
