@@ -104,9 +104,6 @@ class Alphabet:
     def arities(self) -> list[int]:
         return sorted({s.arity for s in self._symbols})
 
-    def names_of(self, arity: int) -> list[str]:
-        return [s.name for s in self._symbols if s.arity == arity]
-
     # -- encoding ------------------------------------------------------------
 
     def encode(self, symbol: Symbol) -> Cube:

@@ -120,7 +120,9 @@ class SuperStateIndex:
 
 class StateMachine:
     """Shared plumbing of automata and transducers: the name registry,
-    final set, and super-state index bound to one manager."""
+    final set, and super-state index bound to one manager.  A subclass
+    sets its document ``kind`` and the ``banks`` its rules' symbols go on,
+    one symbol per bank, interleaved bit by bit in a rule's cube."""
 
     def __init__(self, alphabet: Alphabet, manager: Manager, name: str):
         if not alphabet.frozen:
@@ -223,20 +225,46 @@ class StateMachine:
             "mtbdd_nodes": self.manager.node_count(*roots),
         }
 
-    def _store(self, source: Sequence[str], cube, banks, targets: Iterable[str]):
-        """Write the named targets over the cube of the named source's root."""
+    def _insert(self, symbols: Sequence[str | Symbol], source: Sequence[str],
+                targets: Iterable[str]):
+        """Set the targets of one symbol per bank over the named source."""
+        self._store(source, self._encode(symbols, len(source)), targets)
+
+    def _lookup(self, symbols: Sequence[str | Symbol],
+                source: Sequence[str]) -> frozenset:
+        """Target names of one symbol per bank over the named source."""
+        cube = self._encode(symbols, len(source))
+        ids = self._targets(cube, tuple(self.state_id(s) for s in source))
+        return frozenset(self._name_of[q] for q in ids)
+
+    def _store(self, source: Sequence[str], cube, targets: Iterable[str]):
+        """Write the named targets over the cube of the named source's root,
+        which rebuilds only the cube's paths; the last write wins."""
         src = tuple(self.state_id(s) for s in source)
         tgt = frozenset(self.state_id(t) for t in targets)
         if not tgt:
             raise ValueError("target set must be non-empty; absence encodes the sink")
         m = self.manager
         old = self.index.get(src) or m.bottom
-        self.index.set(src, m.from_cube(cube, m.leaf(tgt), banks, onto=old), m.bottom)
+        self.index.set(src, m.from_cube(cube, m.leaf(tgt), self.banks, onto=old),
+                       m.bottom)
+
+    def _targets(self, cube, src_ids: tuple[int, ...]) -> frozenset:
+        """Target ids of a total cube at a tuple of source ids, or none."""
+        m = self.manager
+        return m.evaluate(self.index.get(src_ids) or m.bottom, cube, self.banks)
+
+    def __repr__(self):
+        return (f"<{type(self).__name__} {self.name}: {len(self._ids)} states,"
+                f" {len(self.index)} super-states>")
 
 
 class TreeAutomaton(StateMachine):
     """A bottom-up NFTA: named states, finals, and the super-state index
     holding the symbolic transition function on the input bank."""
+
+    banks = (0,)
+    kind = "automaton"
 
     def __init__(self, alphabet: Alphabet, manager: Manager | None = None,
                  name: str = "A"):
@@ -244,31 +272,21 @@ class TreeAutomaton(StateMachine):
             manager = Manager(alphabet.width if alphabet.frozen else 0)
         super().__init__(alphabet, manager, name)
 
+    def _encode(self, symbols, arity: int):
+        return self.alphabet.encode(self._resolve(symbols[0], arity))
+
+    def _labels(self, cube, arity: int, order: dict):
+        """(sort key, name, suffix) of each symbol the cube covers."""
+        return [(order[s], s.name, "") for s in self.alphabet.decode_cube(cube, arity)]
+
     def insert_transition(self, symbol: str | Symbol, source: Sequence[str],
                           targets: Iterable[str]):
-        """Set the target set for (symbol, source); last write wins.
-
-        Realised by writing the symbol's codeword over the stored root of
-        the source tuple, which rebuilds only that codeword's path.
-        """
-        sym = self._resolve(symbol, len(source))
-        self._store(source, self.alphabet.encode(sym), (0,), targets)
+        """Set the target set for (symbol, source); last write wins."""
+        self._insert((symbol,), source, targets)
 
     def get_transition(self, symbol: str | Symbol, source: Sequence[str]) -> frozenset:
-        """Targets of (symbol, source) as a frozenset of state names.
-
-        Total by virtual completeness: unseen super-states yield the empty
-        set.
-        """
-        sym = self._resolve(symbol, len(source))
-        src = tuple(self.state_id(s) for s in source)
-        ids = self._targets_ids(sym, src)
-        return frozenset(self._name_of[q] for q in ids)
-
-    def _targets_ids(self, sym: Symbol, src: tuple[int, ...]) -> frozenset:
-        m = self.manager
-        return m.evaluate(self.index.get(src) or m.bottom,
-                          self.alphabet.encode(sym), (0,))
+        """Targets of (symbol, source) as a frozenset of state names."""
+        return self._lookup((symbol,), source)
 
     # -- term membership ---------------------------------------------------
 
@@ -308,15 +326,12 @@ class TreeAutomaton(StateMachine):
             del finished[split:]
             number = numbers.get(key)
             if number is None:
+                cube = self.alphabet.encode(sym)
                 states: set[int] = set()
                 for combo in itertools.product(*[reached[k] for k in key[1]]):
-                    states |= self._targets_ids(sym, combo)
+                    states |= self._targets(cube, combo)
                 number = numbers[key] = len(reached)
                 reached.append(frozenset(states))
             seen[id(node)] = number
             finished.append(number)
         return reached[finished[0]]
-
-    def __repr__(self):
-        return (f"<TreeAutomaton {self.name}: {len(self._ids)} states,"
-                f" {len(self.index)} super-states>")

@@ -13,8 +13,9 @@ import sys
 
 from . import io as tio
 from . import ops, oracle
+from .mtbdd import Manager
 from .terms import parse_term
-from .transducer import apply_step, compose, transducer_manager
+from .transducer import apply_step, compose
 
 ORACLE_HEIGHT = 3
 
@@ -36,15 +37,14 @@ def _emit(text: str, path: str | None):
             handle.write(text)
 
 
-def _load_automata(paths: list[str], banks: int = 1):
+def _load(paths: list[str], builders: list):
+    """Build each file with its builder over one alphabet and one manager;
+    the manager has the transducer banks if a transducer is among them."""
     docs = [tio.parse_timbuk_document(_read(p)) for p in paths]
-    for doc in docs:
-        if doc.kind != "automaton":
-            raise tio.TimbukParseError("expected an Automaton document", 1)
     alphabet = tio.alphabet_from_documents(*docs)
-    from .mtbdd import Manager
+    banks = 3 if any(doc.kind == "transducer" for doc in docs) else 1
     manager = Manager(alphabet.width, banks=banks)
-    return [tio.build_automaton(doc, alphabet, manager) for doc in docs]
+    return [build(doc, alphabet, manager) for build, doc in zip(builders, docs)]
 
 
 def _check_language(result, inputs, expected_of):
@@ -140,47 +140,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_union(args):
-    a1, a2 = _load_automata([args.input0, args.input1])
+    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
     return _write_result(ops.union(a1, a2), args, [a1, a2],
                          lambda xs: _lang(xs[0]) | _lang(xs[1]))
 
 
 def _cmd_intersect(args):
-    a1, a2 = _load_automata([args.input0, args.input1])
+    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
     return _write_result(ops.intersection(a1, a2), args, [a1, a2],
                          lambda xs: _lang(xs[0]) & _lang(xs[1]))
 
 
 def _cmd_determinise(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     return _write_result(ops.determinise(a), args, [a], lambda xs: _lang(xs[0]))
 
 
 def _cmd_complement(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     return _write_result(ops.complement(a), args, [a],
                          lambda xs: _universe(xs[0]) - _lang(xs[0]))
 
 
 def _cmd_prune(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     return _write_result(ops.prune_unreachable(a), args, [a],
                          lambda xs: _lang(xs[0]))
 
 
 def _cmd_minimise(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     return _write_result(ops.minimise(a), args, [a], lambda xs: _lang(xs[0]))
 
 
 def _cmd_reduce_sim(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     return _write_result(ops.reduce_by_simulation(a), args, [a],
                          lambda xs: _lang(xs[0]))
 
 
 def _cmd_is_empty(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     if ops.is_empty(a):
         print("empty")
         return 0
@@ -189,7 +189,7 @@ def _cmd_is_empty(args):
 
 
 def _cmd_incl(args):
-    a1, a2 = _load_automata([args.input0, args.input1])
+    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
     if args.method == "antichain":
         holds = ops.check_inclusion_antichain(a1, a2)
     else:
@@ -199,19 +199,15 @@ def _cmd_incl(args):
 
 
 def _cmd_member(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     accepted = a.accepts(parse_term(args.term))
     print("yes" if accepted else "no")
     return 0 if accepted else 1
 
 
 def _cmd_apply_trans(args):
-    tr_doc = tio.parse_timbuk_document(_read(args.input0))
-    aut_doc = tio.parse_timbuk_document(_read(args.input1))
-    alphabet = tio.alphabet_from_documents(tr_doc, aut_doc)
-    manager = transducer_manager(alphabet)
-    tr = tio.build_transducer(tr_doc, alphabet, manager)
-    aut = tio.build_automaton(aut_doc, alphabet, manager)
+    tr, aut = _load([args.input0, args.input1],
+                    [tio.build_transducer, tio.build_automaton])
     result = apply_step(tr, aut)
     if args.check_oracle:
         rules = oracle.explicit_transducer_rules(tr)
@@ -226,24 +222,19 @@ def _cmd_apply_trans(args):
 
 
 def _cmd_compose(args):
-    doc1 = tio.parse_timbuk_document(_read(args.input0))
-    doc2 = tio.parse_timbuk_document(_read(args.input1))
-    alphabet = tio.alphabet_from_documents(doc1, doc2)
-    manager = transducer_manager(alphabet)
-    t1 = tio.build_transducer(doc1, alphabet, manager)
-    t2 = tio.build_transducer(doc2, alphabet, manager)
-    _emit(tio.write_timbuk_transducer(compose(t1, t2)), args.output)
+    t1, t2 = _load([args.input0, args.input1], [tio.build_transducer] * 2)
+    _emit(tio.write_timbuk(compose(t1, t2)), args.output)
     return 0
 
 
 def _cmd_dot(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     _emit(tio.to_dot(a), args.output)
     return 0
 
 
 def _cmd_stats(args):
-    (a,) = _load_automata([args.input])
+    (a,) = _load([args.input], [tio.build_automaton])
     info = a.stats()
     print(f"states {info['states']}")
     print(f"finals {info['finals']}")

@@ -14,6 +14,14 @@ the end of the line; LF and CRLF are both accepted, LF is emitted)::
 Several lines with one left-hand side accumulate their targets, so the
 order of rule lines never matters.  The writer is canonical: symbols in
 registration order, states in id order, one line per single target.
+
+Automata and transducers share one codec.  A rule carries one symbol per
+bank of its machine (``StateMachine.banks``): the automaton's symbol on
+bank 0, or the transducer's input and output symbols on banks 0 and 1.
+Building, extraction and writing read that layout, so each has a single
+routine for both kinds: ``build_transducer`` and ``build_automaton`` only
+name the class, and ``extract_rules`` and ``write_timbuk_transducer`` are
+aliases of ``extract_transitions`` and ``write_timbuk``.
 """
 
 from __future__ import annotations
@@ -22,9 +30,9 @@ import re
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet
-from .automaton import TreeAutomaton
+from .automaton import StateMachine, TreeAutomaton
 from .mtbdd import Cube, LEAF_LEVEL, Manager, Ref
-from .transducer import INPUT_BANK, OUTPUT_BANK, Transducer
+from .transducer import Transducer
 
 
 class TimbukParseError(ValueError):
@@ -64,6 +72,13 @@ class TimbukRule:
     sources: tuple[str, ...]
     target: str
     out_symbol: str | None = None  # set for transducer rules
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        """The rule's symbols, one per bank of its machine."""
+        if self.out_symbol is None:
+            return (self.symbol,)
+        return (self.symbol, self.out_symbol)
 
 
 @dataclass
@@ -201,71 +216,56 @@ def _declare_states(machine, doc: TimbukDocument):
             raise TimbukParseError(f"undeclared final state {name!r}", line) from exc
 
 
-def _resolve_rule(machine, rule: TimbukRule, name: str, arity: int):
-    try:
-        sym = machine.alphabet.symbol(name, arity)
-    except KeyError:
+def _build(cls, doc: TimbukDocument, alphabet: Alphabet,
+           manager: Manager | None):
+    if doc.kind != cls.kind:
         raise TimbukParseError(
-            f"no declaration of symbol {name!r} with arity {arity}", rule.line)
-    return sym
+            f"expected {cls.kind.capitalize()} in the header, found"
+            f" {doc.kind.capitalize()}", 1)
+    machine = cls(alphabet, manager, name=doc.name)
+    _declare_states(machine, doc)
+    grouped: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}
+    for rule in doc.rules:
+        arity = len(rule.sources)
+        symbols = rule.symbols
+        for name in symbols:
+            if alphabet.get(name, arity) is None:
+                raise TimbukParseError(
+                    f"no declaration of symbol {name!r} with arity {arity}", rule.line)
+        for state in rule.sources + (rule.target,):
+            if not machine.has_state(state):
+                raise TimbukParseError(f"undeclared state {state!r}", rule.line)
+        grouped.setdefault((symbols, rule.sources), set()).add(rule.target)
+    for (symbols, sources), targets in grouped.items():
+        machine._insert(symbols, sources, targets)
+    return machine
 
 
 def build_automaton(doc: TimbukDocument, alphabet: Alphabet,
                     manager: Manager | None = None) -> TreeAutomaton:
-    if doc.kind != "automaton":
-        raise TimbukParseError("expected an Automaton document", 1)
-    aut = TreeAutomaton(alphabet, manager, name=doc.name)
-    _declare_states(aut, doc)
-    grouped: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-    for rule in doc.rules:
-        _resolve_rule(aut, rule, rule.symbol, len(rule.sources))
-        for state in rule.sources + (rule.target,):
-            if not aut.has_state(state):
-                raise TimbukParseError(f"undeclared state {state!r}", rule.line)
-        grouped.setdefault((rule.symbol, rule.sources), set()).add(rule.target)
-    for (symbol, sources), targets in grouped.items():
-        aut.insert_transition(symbol, sources, targets)
-    return aut
+    return _build(TreeAutomaton, doc, alphabet, manager)
 
 
 def build_transducer(doc: TimbukDocument, alphabet: Alphabet,
                      manager: Manager | None = None) -> Transducer:
-    if doc.kind != "transducer":
-        raise TimbukParseError("expected a Transducer document", 1)
-    tr = Transducer(alphabet, manager, name=doc.name)
-    _declare_states(tr, doc)
-    grouped: dict[tuple[str, str, tuple[str, ...]], set[str]] = {}
-    for rule in doc.rules:
-        arity = len(rule.sources)
-        _resolve_rule(tr, rule, rule.symbol, arity)
-        if tr.alphabet.get(rule.out_symbol, arity) is None:
-            raise TimbukParseError(
-                f"output symbol {rule.out_symbol!r} has no declaration with"
-                f" arity {arity} (input/output arities must match)", rule.line)
-        for state in rule.sources + (rule.target,):
-            if not tr.has_state(state):
-                raise TimbukParseError(f"undeclared state {state!r}", rule.line)
-        grouped.setdefault((rule.symbol, rule.out_symbol, rule.sources),
-                           set()).add(rule.target)
-    for (symbol, out_symbol, sources), targets in grouped.items():
-        tr.insert_rule(symbol, sources, out_symbol, targets)
-    return tr
+    return _build(Transducer, doc, alphabet, manager)
+
+
+def _parse(cls, text: str, alphabet: Alphabet | None, manager: Manager | None):
+    doc = parse_timbuk_document(text)
+    if alphabet is None:
+        alphabet = alphabet_from_documents(doc)
+    return _build(cls, doc, alphabet, manager)
 
 
 def parse_timbuk(text: str, alphabet: Alphabet | None = None,
                  manager: Manager | None = None) -> TreeAutomaton:
-    doc = parse_timbuk_document(text)
-    if alphabet is None:
-        alphabet = alphabet_from_documents(doc)
-    return build_automaton(doc, alphabet, manager)
+    return _parse(TreeAutomaton, text, alphabet, manager)
 
 
 def parse_timbuk_transducer(text: str, alphabet: Alphabet | None = None,
                             manager: Manager | None = None) -> Transducer:
-    doc = parse_timbuk_document(text)
-    if alphabet is None:
-        alphabet = alphabet_from_documents(doc)
-    return build_transducer(doc, alphabet, manager)
+    return _parse(Transducer, text, alphabet, manager)
 
 
 # -- extraction -------------------------------------------------------------------
@@ -301,33 +301,25 @@ def _split_cubes(manager: Manager, root: Ref, variables: list[int]):
     yield from rec(root, 0, [])
 
 
-def extract_transitions(aut: TreeAutomaton) -> list[TransitionCube]:
+def extract_transitions(machine: StateMachine) -> list[TransitionCube]:
     """Explicit view of the whole transition function as disjoint cubes.
 
-    Per super-state the cubes are pairwise disjoint and jointly cover
-    exactly the assignments with a non-bottom value.
+    A cube interleaves the machine's banks bit by bit: for a transducer,
+    input and output bits alternate.  Per super-state the cubes are
+    pairwise disjoint and jointly cover exactly the assignments with a
+    non-bottom value.
     """
-    m = aut.manager
-    variables = [m.var_index(bit, 0) for bit in range(m.width)]
+    m = machine.manager
+    variables = [m.var_index(bit, bank)
+                 for bit in range(m.width) for bank in machine.banks]
     out = []
-    for sp, root in aut.index.items():
+    for sp, root in machine.index.items():
         for cube, value in _split_cubes(m, root, variables):
             out.append(TransitionCube(cube, sp, value))
     return out
 
 
-def extract_rules(tr: Transducer) -> list[TransitionCube]:
-    """Transducer analogue: cubes over the interleaved input/output banks."""
-    m = tr.manager
-    variables = []
-    for bit in range(m.width):
-        variables.append(m.var_index(bit, INPUT_BANK))
-        variables.append(m.var_index(bit, OUTPUT_BANK))
-    out = []
-    for sp, root in tr.index.items():
-        for cube, value in _split_cubes(m, root, variables):
-            out.append(TransitionCube(cube, sp, value))
-    return out
+extract_rules = extract_transitions
 
 
 # -- writing ---------------------------------------------------------------------
@@ -337,63 +329,43 @@ def _section(keyword: str, entries) -> str:
     return f"{keyword} {body}" if body else keyword
 
 
-def _ops_header(alphabet: Alphabet) -> str:
-    return _section("Ops", (f"{s.name}:{s.arity}" for s in alphabet.symbols))
-
-
 def _render_lhs(name: str, sources) -> str:
     if not sources:
         return name
     return f"{name}({','.join(sources)})"
 
 
-def write_timbuk(aut: TreeAutomaton) -> str:
-    """Canonical document; parsing it back gives an isomorphic automaton."""
+def write_timbuk(machine: StateMachine) -> str:
+    """Canonical document; parsing it back gives an isomorphic machine."""
     lines = [
-        _ops_header(aut.alphabet),
+        _section("Ops", (f"{s.name}:{s.arity}" for s in machine.alphabet.symbols)),
         "",
-        f"Automaton {aut.name}",
-        _section("States", aut.state_names),
-        _section("Final States", aut.final_names()),
+        f"{machine.kind.capitalize()} {machine.name}",
+        _section("States", machine.state_names),
+        _section("Final States", machine.final_names()),
         "Transitions",
     ]
-    order = {sym: i for i, sym in enumerate(aut.alphabet.symbols)}
+    order = {sym: i for i, sym in enumerate(machine.alphabet.symbols)}
+    labels: dict = {}  # (cube, arity) -> labels; cubes recur across super-states
     entries = []
-    for tc in extract_transitions(aut):
+    for tc in extract_transitions(machine):
         arity = len(tc.source)
-        for sym in aut.alphabet.decode_cube(tc.cube, arity):
-            for target in sorted(tc.targets):
-                entries.append((arity, tc.source, order[sym], target, sym.name))
+        covered = labels.get((tc.cube, arity))
+        if covered is None:
+            covered = labels[tc.cube, arity] = machine._labels(tc.cube, arity, order)
+        targets = sorted(tc.targets)
+        for key, name, suffix in covered:
+            for target in targets:
+                entries.append((arity, tc.source, key, target, name, suffix))
     entries.sort()
-    for arity, source, _, target, name in entries:
-        sources = [aut.state_name(q) for q in source]
-        lines.append(f"{_render_lhs(name, sources)} -> {aut.state_name(target)}")
+    for arity, source, _, target, name, suffix in entries:
+        sources = [machine.state_name(q) for q in source]
+        lines.append(f"{_render_lhs(name, sources)}{suffix}"
+                     f" -> {machine.state_name(target)}")
     return "\n".join(lines) + "\n"
 
 
-def write_timbuk_transducer(tr: Transducer) -> str:
-    lines = [
-        _ops_header(tr.alphabet),
-        "",
-        f"Transducer {tr.name}",
-        _section("States", tr.state_names),
-        _section("Final States", tr.final_names()),
-        "Transitions",
-    ]
-    order = {sym: i for i, sym in enumerate(tr.alphabet.symbols)}
-    entries = []
-    for tc in extract_rules(tr):
-        arity = len(tc.source)
-        for f, g in tr.alphabet.decode_pair_cube(tc.cube, arity):
-            for target in sorted(tc.targets):
-                entries.append((arity, tc.source, order[f], order[g], target,
-                                f.name, g.name))
-    entries.sort()
-    for arity, source, _, _, target, f_name, g_name in entries:
-        sources = [tr.state_name(q) for q in source]
-        lines.append(f"{_render_lhs(f_name, sources)} / {g_name}"
-                     f" -> {tr.state_name(target)}")
-    return "\n".join(lines) + "\n"
+write_timbuk_transducer = write_timbuk
 
 
 # -- DOT -----------------------------------------------------------------------

@@ -35,6 +35,9 @@ def transducer_manager(alphabet: Alphabet) -> Manager:
 class Transducer(StateMachine):
     """States, finals, and a super-state index of pair-cube diagrams."""
 
+    banks = (INPUT_BANK, OUTPUT_BANK)
+    kind = "transducer"
+
     def __init__(self, alphabet: Alphabet, manager: Manager | None = None,
                  name: str = "T"):
         if manager is None:
@@ -43,38 +46,30 @@ class Transducer(StateMachine):
             raise ValueError("transducers need a manager with three banks")
         super().__init__(alphabet, manager, name)
 
+    def _encode(self, symbols, arity: int):
+        # relabelling preserves the shape: both symbols carry the arity
+        return self.alphabet.encode_pair(self._resolve(symbols[0], arity),
+                                         self._resolve(symbols[1], arity))
+
+    def _labels(self, cube, arity: int, order: dict):
+        """(sort key, input name, " / output name") of each covered pair."""
+        return [((order[f], order[g]), f.name, f" / {g.name}")
+                for f, g in self.alphabet.decode_pair_cube(cube, arity)]
+
     def insert_rule(self, in_symbol: str | Symbol, source: Sequence[str],
                     out_symbol: str | Symbol, targets: Iterable[str]):
-        """Store f(source) -> targets(g); overwrite per (pair, source).
-
-        Relabelling preserves the shape, so both symbols must carry the
-        source tuple's arity.
-        """
-        f = self._resolve(in_symbol, len(source))
-        g = self._resolve(out_symbol, len(source))
-        self._store(source, self.alphabet.encode_pair(f, g),
-                    (INPUT_BANK, OUTPUT_BANK), targets)
+        """Store f(source) -> targets(g); overwrite per (pair, source)."""
+        self._insert((in_symbol, out_symbol), source, targets)
 
     def insert_rule_cube(self, input_cube: Cube, source: Sequence[str],
                          output_cube: Cube, targets: Iterable[str]):
         """Cube-level rule: whole sets of symbol pairs in one insertion."""
-        self._store(source, self.alphabet.pair_cube(input_cube, output_cube),
-                    (INPUT_BANK, OUTPUT_BANK), targets)
+        self._store(source, self.alphabet.pair_cube(input_cube, output_cube), targets)
 
     def get_rule(self, in_symbol: str | Symbol, source: Sequence[str],
                  out_symbol: str | Symbol) -> frozenset:
         """Target names for one fully specified (f, source, g) triple."""
-        f = self._resolve(in_symbol, len(source))
-        g = self._resolve(out_symbol, len(source))
-        src = tuple(self.state_id(s) for s in source)
-        m = self.manager
-        ids = m.evaluate(self.index.get(src) or m.bottom,
-                         self.alphabet.encode_pair(f, g), (INPUT_BANK, OUTPUT_BANK))
-        return frozenset(self._name_of[q] for q in ids)
-
-    def __repr__(self):
-        return (f"<Transducer {self.name}: {len(self._ids)} states,"
-                f" {len(self.index)} super-states>")
+        return self._lookup((in_symbol, out_symbol), source)
 
 
 def apply_step(tr: Transducer, a: TreeAutomaton) -> TreeAutomaton:

@@ -41,6 +41,19 @@ c(q3) -> q1
 c(q3) -> q2
 """
 
+SAMPLE_T = """\
+Ops a:0 b:0 b:2 c:0 c:1 d:1
+Transducer T
+States q1 q2
+Final States q2
+Transitions
+a / b -> q1
+b / c -> q1
+c(q1) / d -> q2
+b(q1,q2) / b -> q2
+d(q2) / c -> q2
+"""
+
 IDENTITY_T = """\
 Ops a:0 f:1
 Transducer I
@@ -213,8 +226,18 @@ def test_transducer_where_automaton_expected(files, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [["determinise", "ident.tmbt"],
+                                  ["compose", "loop.tmb", "loop.tmb"],
+                                  ["apply-trans", "loop.tmb", "loop.tmb"],
+                                  ["apply-trans", "ident.tmbt", "ident.tmbt"]])
+def test_document_of_the_wrong_kind_is_exit_4_with_a_line(files, capsys, argv):
+    code, _, err = run(capsys, argv[0], *[files[name] for name in argv[1:]])
+    assert code == 4
+    assert "line" in err
+
+
 def _mutant(rng, text):
-    """SAMPLE with one to three random edits: a character deleted, inserted
+    """The text with one to three random edits: a character deleted, inserted
     or replaced (from characters the format gives meaning to), or a line
     deleted, duplicated or swapped with another."""
     chars = "abcdq123():,->/ \n%"
@@ -253,4 +276,24 @@ def test_parser_mutants_exit_0_or_4_with_a_line(capsys, tmp_path):
         if code == 4:
             assert "line" in err, (trial, err, text)
         codes[code] += 1
+    assert codes[0] and codes[4]
+
+
+def test_transducer_parser_mutants_exit_0_or_4_with_a_line(files, capsys, tmp_path):
+    """The same for transducer documents: 600 seeded mutants of SAMPLE_T,
+    each composed with itself and applied to SAMPLE."""
+    rng = random.Random(1)
+    path = str(tmp_path / "mutant.tmbt")
+    codes = {0: 0, 4: 0}
+    for trial in range(600):
+        text = _mutant(rng, SAMPLE_T)
+        with open(path, "w") as handle:
+            handle.write(text)
+        for argv in (["compose", path, path],
+                     ["apply-trans", path, files["sample.tmb"]]):
+            code, _, err = run(capsys, *argv)
+            assert code in codes, (trial, argv[0], code, err, text)
+            if code == 4:
+                assert "line" in err, (trial, argv[0], err, text)
+            codes[code] += 1
     assert codes[0] and codes[4]

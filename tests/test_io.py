@@ -14,9 +14,17 @@ from symta import (
     write_timbuk,
     write_timbuk_transducer,
 )
-from symta.io import parse_timbuk_document
+from symta import apply_step, compose
+from symta.io import (
+    alphabet_from_documents,
+    build_automaton,
+    build_transducer,
+    parse_timbuk_document,
+)
 from symta.mtbdd import cube_covers, cube_to_text
-from symta.oracle import random_alphabet, random_automaton, to_explicit
+from symta.oracle import random_alphabet, random_automaton, random_transducer, \
+    to_explicit
+from symta.transducer import transducer_manager
 
 from conftest import function_table
 from dot_check import validate_dot
@@ -147,21 +155,33 @@ def test_extract_sample_initial_cubes(sample_automaton):
     assert initial == [("01", frozenset({"q1", "q2"})), ("10", frozenset({"q2"}))]
 
 
+def _random_machine(kind, rng):
+    alphabet = random_alphabet(rng)
+    if kind == "automaton":
+        return random_automaton(rng, alphabet, Manager(alphabet.width))
+    return random_transducer(rng, alphabet, transducer_manager(alphabet))
+
+
 def test_extracted_cubes_disjoint_and_covering():
-    for seed in range(10):
-        rng = random.Random(100 + seed)
-        alphabet = random_alphabet(rng)
-        m = Manager(alphabet.width)
-        aut = random_automaton(rng, alphabet, m)
+    """Per super-state the cubes are disjoint and cover exactly the
+    assignments to the machine's banks that have targets; a transducer's
+    cubes interleave its input and output bits, and its diagrams ignore
+    the scratch bank."""
+    for kind, seed in itertools.product(("automaton", "transducer"), range(10)):
+        machine = _random_machine(kind, random.Random(100 + seed))
+        m = machine.manager
+        extracted = [m.var_index(bit, bank)
+                     for bit in range(m.width) for bank in machine.banks]
         by_source = {}
-        for tc in extract_transitions(aut):
+        for tc in extract_transitions(machine):
             by_source.setdefault(tc.source, []).append(tc)
         for source, cubes in by_source.items():
-            root = aut.index.get(source)
+            root = machine.index.get(source)
             table = function_table(m, root)
             for bits in itertools.product((0, 1), repeat=m.num_vars):
                 value = table[int("".join(map(str, bits)), 2)] if bits else table[0]
-                hits = [tc for tc in cubes if cube_covers(tc.cube, bits)]
+                point = [bits[v] for v in extracted]
+                hits = [tc for tc in cubes if cube_covers(tc.cube, point)]
                 if value:
                     assert len(hits) == 1 and hits[0].targets == value
                 else:
@@ -169,26 +189,28 @@ def test_extracted_cubes_disjoint_and_covering():
 
 
 def test_reinserting_extracted_cubes_reproduces_transitions():
-    for seed in range(8):
-        rng = random.Random(40 + seed)
-        alphabet = random_alphabet(rng)
-        m = Manager(alphabet.width)
-        aut = random_automaton(rng, alphabet, m)
-        from symta import TreeAutomaton
-        rebuilt = TreeAutomaton(alphabet, m, name="rebuilt")
-        for name in aut.state_names:
-            rebuilt.add_state(name)
-        for name in aut.final_names():
-            rebuilt.set_final(name)
-        for tc in extract_transitions(aut):
-            source = tuple(aut.state_name(q) for q in tc.source)
-            targets = [aut.state_name(q) for q in tc.targets]
-            for sym in alphabet.decode_cube(tc.cube, len(tc.source)):
-                rebuilt.insert_transition(sym, source, targets)
-        for sym in alphabet.symbols:
-            for source in itertools.product(aut.state_names, repeat=sym.arity):
-                assert rebuilt.get_transition(sym, source) == \
-                    aut.get_transition(sym, source)
+    """Writing the extracted cubes into an empty machine over the same
+    states gives the same root handle for every super-state: symbol by
+    symbol for an automaton, whole pair cubes for a transducer."""
+    for kind, seed in itertools.product(("automaton", "transducer"), range(8)):
+        machine = _random_machine(kind, random.Random(40 + seed))
+        alphabet = machine.alphabet
+        rebuilt = type(machine)(alphabet, machine.manager, name="rebuilt")
+        for sid, name in zip(machine.states, machine.state_names):
+            rebuilt.adopt_state(sid, name)
+        for tc in extract_transitions(machine):
+            source = tuple(machine.state_name(q) for q in tc.source)
+            targets = [machine.state_name(q) for q in tc.targets]
+            if kind == "automaton":
+                for sym in alphabet.decode_cube(tc.cube, len(tc.source)):
+                    rebuilt.insert_transition(sym, source, targets)
+            else:
+                input_cube, output_cube = alphabet.split_pair_cube(tc.cube)
+                rebuilt.insert_rule_cube(input_cube, source, output_cube, targets)
+        assert [sp for sp, _ in rebuilt.index.items()] == \
+            [sp for sp, _ in machine.index.items()]
+        for sp, root in machine.index.items():
+            assert rebuilt.index.get(sp) is root
 
 
 # -- transducer documents -----------------------------------------------------------
@@ -229,9 +251,66 @@ def test_rule_kind_must_match_header():
                      "Transitions\na / a -> q\n")
     doc = parse_timbuk_document(TRANSDUCER_DOC)
     assert doc.kind == "transducer"
-    with pytest.raises(TimbukParseError):
-        from symta.io import build_automaton
+    with pytest.raises(TimbukParseError) as err:
         build_automaton(doc, None)
+    assert err.value.line == 1
+
+
+def test_transducer_builder_rejects_an_automaton_document():
+    with pytest.raises(TimbukParseError) as err:
+        build_transducer(parse_timbuk_document(SAMPLE_DOC), None)
+    assert err.value.line == 1
+
+
+RELABEL_DOC = """\
+Ops a:0 b:0 f:1 g:1
+
+Transducer R
+States r
+Final States r
+Transitions
+a / a -> r
+a / b -> r
+b / a -> r
+f(r) / g -> r
+g(r) / f -> r
+g(r) / g -> r
+"""
+
+IMAGE_SOURCE_DOC = """\
+Ops a:0 b:0 f:1 g:1
+
+Automaton A
+States q0 q1
+Final States q1
+Transitions
+a -> q0
+b -> q0
+f(q0) -> q1
+g(q0) -> q1
+g(q1) -> q1
+"""
+
+
+def test_transducer_results_have_pinned_canonical_text():
+    """Compositions and an image written byte for byte as before."""
+    docs = [parse_timbuk_document(text)
+            for text in (TRANSDUCER_DOC, RELABEL_DOC, IMAGE_SOURCE_DOC)]
+    alphabet = alphabet_from_documents(*docs)
+    m = transducer_manager(alphabet)
+    t = build_transducer(docs[0], alphabet, m)
+    r = build_transducer(docs[1], alphabet, m)
+    a = build_automaton(docs[2], alphabet, m)
+    head = "Ops a:0 b:0 f:1 g:1\n\n"
+    assert write_timbuk_transducer(compose(t, t)) == (
+        head + "Transducer compose\nStates\nFinal States\nTransitions\n")
+    assert write_timbuk_transducer(compose(t, r)) == (
+        head + "Transducer compose\nStates s0 s1\nFinal States s1\nTransitions\n"
+        "a / a -> s0\nf(s0) / f -> s1\nf(s0) / g -> s1\n"
+        "g(s0) / f -> s1\ng(s0) / g -> s1\n")
+    assert write_timbuk(apply_step(t, a)) == (
+        head + "Automaton image\nStates s0 s1\nFinal States s1\nTransitions\n"
+        "b -> s0\ng(s0) -> s1\n")
 
 
 def test_extract_rules_covers_pairs():
