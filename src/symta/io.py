@@ -85,6 +85,7 @@ class TimbukRule:
 class TimbukDocument:
     kind: str                      # "automaton" | "transducer"
     name: str
+    line: int                      # line of the kind keyword
     ops: list[tuple[str, int, int]] = field(default_factory=list)  # name, arity, line
     states: list[tuple[str, int]] = field(default_factory=list)    # name, line
     finals: list[tuple[str, int]] = field(default_factory=list)
@@ -136,10 +137,11 @@ def parse_timbuk_document(text: str) -> TimbukDocument:
         if not arity_tok.isdigit():
             raise TimbukParseError(f"arity must be a number, found {arity_tok!r}", line)
         ops.append((name, int(arity_tok), line))
+    # the loop above stops at a kind keyword or at the end, where next raises
+    line = ts.line
     kind_tok = ts.next()
-    if kind_tok not in ("Automaton", "Transducer"):
-        raise TimbukParseError("expected 'Automaton' or 'Transducer'", ts.line)
-    doc = TimbukDocument(kind=kind_tok.lower(), name=ts.next_name("a name"), ops=ops)
+    doc = TimbukDocument(kind=kind_tok.lower(), name=ts.next_name("a name"),
+                         line=line, ops=ops)
     ts.next("States")
     while ts.peek() not in ("Final", None):
         line = ts.line
@@ -221,7 +223,7 @@ def _build(cls, doc: TimbukDocument, alphabet: Alphabet,
     if doc.kind != cls.kind:
         raise TimbukParseError(
             f"expected {cls.kind.capitalize()} in the header, found"
-            f" {doc.kind.capitalize()}", 1)
+            f" {doc.kind.capitalize()}", doc.line)
     machine = cls(alphabet, manager, name=doc.name)
     _declare_states(machine, doc)
     grouped: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}

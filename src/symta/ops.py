@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 from .automaton import TreeAutomaton
 
-#: Virtual sink marker used inside the congruence computation.  Never a
-#: real state id (manager ids are non-negative).
-_SINK = -1
-
 
 def _require_compatible(a1: TreeAutomaton, a2: TreeAutomaton):
     if a1.alphabet is not a2.alphabet:
@@ -334,20 +330,6 @@ class QuotientMap:
         return cls(class_of, reps)
 
     @classmethod
-    def from_relation(cls, states, related) -> "QuotientMap":
-        """Classes of an equivalence given as a predicate on state pairs:
-        each state not yet placed opens a block with every state related
-        to it."""
-        blocks: list[set[int]] = []
-        placed: set[int] = set()
-        for p in states:
-            if p not in placed:
-                block = {p} | {q for q in states if q != p and related(p, q)}
-                placed |= block
-                blocks.append(block)
-        return cls.from_classes(blocks)
-
-    @classmethod
     def identity(cls, states) -> "QuotientMap":
         return cls.from_classes([q] for q in states)
 
@@ -382,67 +364,52 @@ def reduce_by_equivalence(a: TreeAutomaton, quotient: QuotientMap) -> TreeAutoma
     return res
 
 
-def _is_deterministic(a: TreeAutomaton) -> bool:
-    return all(len(leaf) <= 1
-               for _, root in a.index.items()
-               for leaf in a.manager.leaf_values(root))
-
-
 def compute_congruence(a: TreeAutomaton) -> QuotientMap:
     """Coarsest congruence of a reachable DFTA, for minimisation.
 
-    Starts from the finality partition and repeatedly substitutes class
-    mates into stored super-states, comparing the two target rows with a
-    class-comparing functor.  A substituted super-state with no stored
-    row compares as the bottom constant, and the virtual sink takes part
-    as an ordinary non-final class, so two states that both lack some
-    transition are never split spuriously.
+    Moore-style partition refinement over the automaton completed by a
+    virtual sink, which starts in the class of the non-final states.  Each
+    round relabels every stored row's targets to their class ids with one
+    monadic Apply, sending the sink's class to bottom, so a missing and a
+    dead target compare equal; diagrams are canonical, so the relabelled
+    root is the row's signature.  A state's new class is its old one with
+    the set of (position, other components, relabelled root) over the rows
+    holding it, rows relabelled to bottom left out, and the sink's is its
+    old class with the empty set.  The other components are states, not
+    classes: two states of one class may still lead apart beside two
+    others of one class, crosswise.  Refinement stops when a round splits
+    no class, or when every class, the sink's included, has one member.
     """
-    if not _is_deterministic(a):
-        raise ValueError("congruence computation requires a deterministic automaton")
     m = a.manager
-    states = list(a.states)
-    universe = states + [_SINK]
-    eq: set[tuple[int, int]] = {
-        (p, q) for p in universe for q in universe
-        if (p in a.finals) == (q in a.finals)}
+    # class 0 is always the sink's: at first the class of the non-final states
+    class_of = {q: int(q in a.finals) for q in a.states}
+    count = len(set(class_of.values()) | {0})
 
-    while True:
-        prev = frozenset(eq)
-        mates: dict[int, list[int]] = {
-            p: sorted(q for (x, q) in prev if x == p) for p in universe}
-        rep: dict[int, int] = {p: min(mates[p]) for p in universe}
+    def relabel(leaf):
+        if len(leaf) > 1:
+            raise ValueError(
+                "congruence computation requires a deterministic automaton")
+        return {class_of[q] for q in leaf} - {0}
 
-        def target_class(leaf):
-            if not leaf:
-                return rep[_SINK]
-            (q,) = leaf
-            return rep[q]
-
-        for n in a.index.arities():
-            for sp in a.index.tuples(n):
-                root = a.index.get(sp)
-                for i in range(n):
-                    qi = sp[i]
-                    for q in mates[qi]:
-                        if q == qi or (q, qi) not in eq:
-                            continue
-                        other = a.index.get(sp[:i] + (q,) + sp[i + 1:]) or m.bottom
-                        hit = []
-
-                        def refine(left, right):
-                            if target_class(left) != target_class(right):
-                                hit.append(True)
-                            return frozenset()
-
-                        m.apply(root, other, refine)
-                        if hit:
-                            eq.discard((q, qi))
-                            eq.discard((qi, q))
-        if frozenset(eq) == prev:
+    while count <= len(class_of):
+        signature: dict[int, set] = {q: set() for q in class_of}
+        for sp, root in a.index.items():
+            row = m.monadic_apply(root, relabel)
+            if row is not m.bottom:
+                for i, q in enumerate(sp):
+                    signature[q].add((i, sp[:i] + sp[i + 1:], row))
+        ids = {(0, frozenset()): 0}
+        class_of = {q: ids.setdefault((class_of[q], frozenset(signature[q])),
+                                      len(ids))
+                    for q in class_of}
+        if len(ids) == count:
             break
+        count = len(ids)
 
-    return QuotientMap.from_relation(states, lambda p, q: (p, q) in eq)
+    blocks: dict[int, list[int]] = {}
+    for q, c in class_of.items():
+        blocks.setdefault(c, []).append(q)
+    return QuotientMap.from_classes(blocks.values())
 
 
 def minimise(a: TreeAutomaton) -> TreeAutomaton:
@@ -488,10 +455,19 @@ def downward_simulation(a: TreeAutomaton) -> frozenset:
 
 
 def reduce_by_simulation(a: TreeAutomaton) -> TreeAutomaton:
-    """Quotient by mutual downward simulation; language preserved."""
-    sim = downward_simulation(a)
-    return reduce_by_equivalence(a, QuotientMap.from_relation(
-        a.states, lambda p, q: (p, q) in sim and (q, p) in sim))
+    """Quotient by mutual downward simulation; language preserved.
+
+    The simulation is a preorder, so two states simulate each other exactly
+    when the same states simulate them: a class is the states that share
+    one set of simulating states.
+    """
+    above: dict[int, set[int]] = {q: set() for q in a.states}
+    for p, q in downward_simulation(a):
+        above[p].add(q)
+    classes: dict[frozenset, list[int]] = {}
+    for q in a.states:
+        classes.setdefault(frozenset(above[q]), []).append(q)
+    return reduce_by_equivalence(a, QuotientMap.from_classes(classes.values()))
 
 
 # -- language inclusion ----------------------------------------------------------

@@ -236,6 +236,14 @@ def test_document_of_the_wrong_kind_is_exit_4_with_a_line(files, capsys, argv):
     assert "line" in err
 
 
+def test_document_of_the_wrong_kind_is_reported_at_its_keyword(tmp_path, capsys):
+    path = tmp_path / "A.tmb"
+    path.write_text(LOOP.replace("\nAutomaton", "\n\nAutomaton"))
+    code, _, err = run(capsys, "compose", str(path), str(path))
+    assert code == 4
+    assert "line 3: expected Transducer in the header, found Automaton" in err
+
+
 def _mutant(rng, text):
     """The text with one to three random edits: a character deleted, inserted
     or replaced (from characters the format gives meaning to), or a line

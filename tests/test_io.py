@@ -253,13 +253,13 @@ def test_rule_kind_must_match_header():
     assert doc.kind == "transducer"
     with pytest.raises(TimbukParseError) as err:
         build_automaton(doc, None)
-    assert err.value.line == 1
+    assert err.value.line == 3  # the Transducer keyword, after a blank line
 
 
 def test_transducer_builder_rejects_an_automaton_document():
     with pytest.raises(TimbukParseError) as err:
         build_transducer(parse_timbuk_document(SAMPLE_DOC), None)
-    assert err.value.line == 1
+    assert err.value.line == 3  # the Automaton keyword, after a blank line
 
 
 RELABEL_DOC = """\

@@ -288,7 +288,7 @@ def test_congruence_merges_twin_states():
 
 
 def test_congruence_rejects_nondeterministic_input(sample_automaton):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a deterministic automaton"):
         compute_congruence(sample_automaton)
 
 
@@ -298,6 +298,127 @@ def test_congruence_identity_on_minimal_input():
     aut = make(text)
     quotient = compute_congruence(aut)
     assert len(quotient) == len(aut.states)
+
+
+def test_congruence_on_minimal_input_relabels_each_row_once():
+    """States told apart by one round stop the refinement there: a minimal
+    DFTA whose every state has its own outgoing rule costs one monadic
+    Apply per stored row, where the pair loop made one Apply per row,
+    position and class mate in every round."""
+    k = 8
+    text = ["Ops " + " ".join(f"a{i}:0 g{i}:1" for i in range(k)),
+            "Automaton M", "States " + " ".join(f"q{i}" for i in range(k)),
+            "Final States q0", "Transitions"]
+    text += [f"a{i} -> q{i}" for i in range(k)]
+    text += [f"g{i}(q{i}) -> q0" for i in range(k)]
+    aut = make("\n".join(text) + "\n")
+    before = aut.manager.apply_calls
+    assert len(compute_congruence(aut)) == k
+    assert aut.manager.apply_calls - before <= len(aut.index)
+
+
+def test_congruence_keeps_apart_states_that_differ_on_one_sibling():
+    """a and b meet c and d crosswise: f(a,c) and f(b,d) are final, f(a,d)
+    and f(b,c) dead.  Rows keyed by the classes of the other components
+    would hold {a, b} and {c, d} together; keyed by the components
+    themselves, all six states stay apart, as in the minimal DFTA."""
+    aut = make("Ops a:0 b:0 c:0 d:0 f:2\nAutomaton X\nStates a b c d x y\n"
+               "Final States x\nTransitions\na -> a\nb -> b\nc -> c\n"
+               "d -> d\nf(a,c) -> x\nf(b,d) -> x\nf(a,d) -> y\nf(b,c) -> y\n")
+    assert len(compute_congruence(aut)) == 6 == \
+        minimal_state_count(to_explicit(aut))
+
+
+def _reference_congruence(a):
+    """The pair-substitution loop: pairs of states (and a virtual sink)
+    start related when both or neither are final, and a pair is dropped
+    when substituting one state for the other in a stored super-state
+    changes the class of some target, until a round drops nothing."""
+    sink = -1
+    m = a.manager
+    states = list(a.states)
+    universe = states + [sink]
+    eq = {(p, q) for p in universe for q in universe
+          if (p in a.finals) == (q in a.finals)}
+    while True:
+        prev = frozenset(eq)
+        mates = {p: sorted(q for (x, q) in prev if x == p) for p in universe}
+        rep = {p: min(mates[p]) for p in universe}
+
+        def target_class(leaf):
+            return rep[next(iter(leaf))] if leaf else rep[sink]
+
+        for n in a.index.arities():
+            for sp in a.index.tuples(n):
+                root = a.index.get(sp)
+                for i, qi in enumerate(sp):
+                    for q in mates[qi]:
+                        if q == qi or (q, qi) not in eq:
+                            continue
+                        other = a.index.get(sp[:i] + (q,) + sp[i + 1:]) or m.bottom
+                        hit = []
+
+                        def refine(left, right):
+                            if target_class(left) != target_class(right):
+                                hit.append(True)
+                            return frozenset()
+
+                        m.apply(root, other, refine)
+                        if hit:
+                            eq.discard((q, qi))
+                            eq.discard((qi, q))
+        if frozenset(eq) == prev:
+            break
+    blocks, placed = [], set()
+    for p in states:
+        if p not in placed:
+            block = {p} | {q for q in states if (p, q) in eq}
+            placed |= block
+            blocks.append(block)
+    return QuotientMap.from_classes(blocks)
+
+
+def _dead_states(a):
+    """States from which no context reaches a final state."""
+    live = set(a.finals)
+    grew = True
+    while grew:
+        grew = False
+        for sp, root in a.index.items():
+            if any(leaf & live for leaf in a.manager.leaf_values(root)):
+                grew |= not live.issuperset(sp)
+                live.update(sp)
+    return set(a.states) - live
+
+
+def test_congruence_agrees_with_the_pair_loop_and_the_oracle():
+    """Signature refinement finds the classes the pair loop finds, and as
+    many as the oracle's minimal DFTA has, on 500 random determinised
+    automata and on determinised doubled skeletons with dead states."""
+    for seed in range(500):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng, max_symbols=5)
+        a = random_automaton(rng, alphabet, Manager(alphabet.width),
+                             max_states=5)
+        d = determinise(prune_unreachable(a))
+        quotient = compute_congruence(d)
+        assert quotient == _reference_congruence(d), seed
+        assert len(quotient) == minimal_state_count(to_explicit(a)), seed
+    dead = 0
+    for seed in range(12):
+        n = 4 + seed
+        lines = write_timbuk(_doubled_skeleton(random.Random(seed), n)).split("\n")
+        # a symbol e into a non-final state z that e keeps: z is dead
+        lines = [line + {"Ops": " e:1", "States": " z"}.get(line.split(" ")[0], "")
+                 for line in lines if line]
+        lines += [f"e(q{q}_{c}) -> z" for q in range(0, n, 2) for c in (0, 1)]
+        skeleton = "\n".join(lines + ["e(z) -> z", ""])
+        d = determinise(make(skeleton))
+        dead += len(_dead_states(d))
+        quotient = compute_congruence(d)
+        assert quotient == _reference_congruence(d), seed
+        assert len(quotient) == minimal_state_count(to_explicit(d)), seed
+    assert dead
 
 
 def test_minimise_fixpoint_and_oracle_count():
