@@ -103,9 +103,7 @@ class SuperStateIndex:
         for q in sets[i]:
             for sp in by_state.get(q, ()):
                 if all(p in members for p, members in zip(sp, sets)):
-                    root = bucket[sp]
-                    union = (root if union is manager.bottom
-                             else manager.apply(union, root, lambda x, y: x | y))
+                    union = manager.union(union, bucket[sp])
         return union
 
     def items(self):

@@ -283,7 +283,8 @@ class TransitionCube:
 
 def _split_cubes(manager: Manager, root: Ref, variables: list[int]):
     """Cube splitting with test symbols: start all don't-care, bind a
-    variable only when the two bindings disagree, 0 before 1."""
+    variable only when the two bindings disagree, 0 before 1.  Nests at
+    most ``len(variables) + 1`` generators deep."""
 
     def rec(ref: Ref, depth: int, prefix: list):
         if depth == len(variables):

@@ -21,6 +21,11 @@ diagrams simply never mention it.  Apply functors should map a pair of
 empty sets back to the empty set; returning anything else is legal but
 densifies the diagram.
 
+Every diagram recursion (``apply``, ``monadic_apply``, ``union``,
+``relational_product``, ``from_cube``, ``leaf_values``) steps to a
+strictly later variable at each level, so it recurses at most
+``num_vars + 1`` deep whatever the diagrams' sizes.
+
 A manager and the diagrams it owns form one mutation unit.  Operations
 that may intern nodes must not run concurrently; the whole unit may be
 handed from thread to thread, and read-only evaluation is safe only while
@@ -105,8 +110,10 @@ class Manager:
         self.bottom = Leaf(self, empty)
         self._leaves: dict[frozenset, Leaf] = {empty: self.bottom}
         self._unique: dict[tuple, Node] = {}
+        #: unordered pair of handles -> their union, kept for the manager's life
+        self._union_table: dict[tuple, Ref] = {}
         self._next_state = 0
-        #: top-level apply/monadic_apply invocations, for instrumentation
+        #: top-level apply, monadic_apply, union and relational_product calls
         self.apply_calls = 0
 
     # -- state id allocation -------------------------------------------------
@@ -225,7 +232,8 @@ class Manager:
         ``op`` receives leaf values (frozensets) and may be stateful; it is
         invoked at most once per distinct pair of nodes.  The compute cache
         lives only for this call, precisely because functors may carry
-        state.
+        state.  The one cache that outlives a call is :meth:`union`'s table,
+        allowed because its functor is fixed and stateless.
         """
         self._check_owned(lhs)
         self._check_owned(rhs)
@@ -297,6 +305,80 @@ class Manager:
 
         return rec(root, 0)
 
+    def union(self, lhs: Ref, rhs: Ref) -> Ref:
+        """The handle ``apply(lhs, rhs, lambda x, y: x | y)`` returns, counted
+        as one Apply, memoised for the manager's life by the unordered pair
+        of handles: handles are canonical and the arena frees no node."""
+        self._check_owned(lhs)
+        self._check_owned(rhs)
+        self.apply_calls += 1
+        return self._unite(lhs, rhs)
+
+    def _unite(self, a: Ref, b: Ref) -> Ref:
+        if a is b or b is self.bottom:
+            return a
+        if a is self.bottom:
+            return b
+        key = (a, b) if id(a) < id(b) else (b, a)
+        res = self._union_table.get(key)
+        if res is None:
+            if a.var == b.var == LEAF_LEVEL:
+                res = self.leaf(a.value | b.value)
+            else:
+                var = a.var if a.var < b.var else b.var
+                a0, a1 = (a.low, a.high) if a.var == var else (a, a)
+                b0, b1 = (b.low, b.high) if b.var == var else (b, b)
+                res = self.node(var, self._unite(a0, b0), self._unite(a1, b1))
+            self._union_table[key] = res
+        return res
+
+    def relational_product(self, lhs: Ref, rhs: Ref, op: ApplyOp,
+                           trim: int | None = None,
+                           move: tuple[int, int] | None = None,
+                           shift: int = 0) -> Ref:
+        """The handle of ``apply(lhs, rhs, op)`` with bank ``trim`` united
+        away (``trim_bank``) and bank ``move[0]`` moved onto ``move[1]``
+        (``rename_bank``), made in one pass that interns no intermediate.
+
+        ``rhs`` is read with every variable ``shift`` banks up, and
+        ``move``'s destination must be ``trim`` or occur in neither operand.
+        Pairs are visited, and ``op`` called, exactly as by ``apply``; the
+        trimmed levels unite through the union table.  This is the
+        relational product ("AndExists") of Burch, Clarke and Long.
+        """
+        self._check_owned(lhs)
+        self._check_owned(rhs)
+        src, dst = move or (None, None)
+        for bank in (trim, src, dst):
+            if bank is not None and not 0 <= bank < self.banks:
+                raise ValueError(f"bank {bank} outside 0..{self.banks - 1}")
+        self.apply_calls += 1
+        banks, delta = self.banks, dst - src if move else 0
+        unite, node = self._unite, self.node
+        cache: dict[tuple, Ref] = {}
+
+        def rec(a: Ref, b: Ref) -> Ref:
+            key = (a, b)
+            res = cache.get(key)
+            if res is None:
+                if a.var == LEAF_LEVEL and b.var == LEAF_LEVEL:
+                    res = self.leaf(op(a.value, b.value))
+                else:
+                    b_var = b.var + shift
+                    var = a.var if a.var < b_var else b_var
+                    a0, a1 = (a.low, a.high) if a.var == var else (a, a)
+                    b0, b1 = (b.low, b.high) if b_var == var else (b, b)
+                    low, high = rec(a0, b0), rec(a1, b1)
+                    bank = var % banks
+                    if bank == trim:
+                        res = unite(low, high)
+                    else:
+                        res = node(var + delta if bank == src else var, low, high)
+                cache[key] = res
+            return res
+
+        return rec(lhs, rhs)
+
     def trim_bank(self, root: Ref, bank: int) -> Ref:
         """Eliminate one bank by uniting the branches of each of its nodes.
 
@@ -304,25 +386,7 @@ class Manager:
         the union of ``root``'s values over all assignments to the trimmed
         bank; colliding state sets are united.
         """
-        self._check_owned(root)
-        if not 0 <= bank < self.banks:
-            raise ValueError(f"bank {bank} outside 0..{self.banks - 1}")
-        cache: dict[Ref, Ref] = {}
-
-        def rec(a: Ref) -> Ref:
-            if a.var == LEAF_LEVEL:
-                return a
-            res = cache.get(a)
-            if res is None:
-                low, high = rec(a.low), rec(a.high)
-                if a.var % self.banks == bank:
-                    res = self.apply(low, high, lambda x, y: x | y)
-                else:
-                    res = self.node(a.var, low, high)
-                cache[a] = res
-            return res
-
-        return rec(root)
+        return self.relational_product(root, self.bottom, lambda x, _: x, trim=bank)
 
     def rename_bank(self, root: Ref, src_bank: int, dst_bank: int) -> Ref:
         """Move every variable of ``src_bank`` to the same bit of ``dst_bank``.
@@ -330,29 +394,11 @@ class Manager:
         The destination bank must not occur in ``root``.  With interleaved
         banks the mapping is monotone, so the structure is simply rebuilt.
         """
-        self._check_owned(root)
-        for bank in (src_bank, dst_bank):
-            if not 0 <= bank < self.banks:
-                raise ValueError(f"bank {bank} outside 0..{self.banks - 1}")
-        support = self.support(root)
-        if not any(v % self.banks == src_bank for v in support):
-            return root  # nothing to rename
-        if any(v % self.banks == dst_bank for v in support):
+        occurring = {v % self.banks for v in self.support(root)}
+        if src_bank in occurring and dst_bank in occurring:
             raise ValueError(f"destination bank {dst_bank} already occurs in root")
-        delta = dst_bank - src_bank
-        cache: dict[Ref, Ref] = {}
-
-        def rec(a: Ref) -> Ref:
-            if a.var == LEAF_LEVEL:
-                return a
-            res = cache.get(a)
-            if res is None:
-                var = a.var + delta if a.var % self.banks == src_bank else a.var
-                res = self.node(var, rec(a.low), rec(a.high))
-                cache[a] = res
-            return res
-
-        return rec(root)
+        return self.relational_product(root, self.bottom, lambda x, _: x,
+                                       move=(src_bank, dst_bank))
 
     # -- inspection ----------------------------------------------------------
 

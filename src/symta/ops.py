@@ -76,8 +76,8 @@ def union(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
             res.index.set(sp, root, m.bottom)
         else:
             # operands sharing states: unite the rule sets leafwise
-            res.index.set(sp, m.apply(prev, root, lambda x, y: x | y), m.bottom)
-    init = m.apply(a1.initial_root(), a2.initial_root(), lambda x, y: x | y)
+            res.index.set(sp, m.union(prev, root), m.bottom)
+    init = m.union(a1.initial_root(), a2.initial_root())
     res.index.set((), init, m.bottom)
     return res
 

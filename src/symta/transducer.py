@@ -7,18 +7,22 @@ scratch space for composition, so a transducer-capable manager always
 carries three banks.
 
 A transduction step and a composition are product traversals: they run
-the pair worklist of :mod:`symta.ops` (the one intersection uses) with a
-root combiner that intersects over the paired banks, trims the matched
-bank and renames the remaining one.
+the pair worklist of :mod:`symta.ops` (the one intersection uses), and
+each row is one :meth:`~symta.mtbdd.Manager.relational_product` call.  It
+matches the paired banks, unites the matched bank away and moves the
+remaining one into its place in one pass, without interning the matched
+two-bank diagram; composition first lifts the right operand's banks by
+one, onto the output and scratch banks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import partial
 
 from .alphabet import Alphabet, Symbol
 from .automaton import StateMachine, TreeAutomaton
-from .mtbdd import Cube, Manager, Ref
+from .mtbdd import Cube, Manager
 from .ops import _product, _require_compatible
 
 #: Bank roles inside a transducer-capable manager.
@@ -81,12 +85,8 @@ def apply_step(tr: Transducer, a: TreeAutomaton) -> TreeAutomaton:
     """
     _require_compatible(tr, a)
     m = tr.manager
-
-    def relabel(root_a: Ref, root_t: Ref, meet) -> Ref:
-        tmp = m.apply(root_a, root_t, meet)
-        tmp = m.trim_bank(tmp, INPUT_BANK)
-        return m.rename_bank(tmp, OUTPUT_BANK, INPUT_BANK)
-
+    relabel = partial(m.relational_product, trim=INPUT_BANK,
+                      move=(OUTPUT_BANK, INPUT_BANK))
     return _product(a, tr, TreeAutomaton(a.alphabet, m, name="image"), relabel)
 
 
@@ -99,14 +99,8 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     """
     _require_compatible(t1, t2)
     m = t1.manager
-
-    def chain(root1: Ref, root2: Ref, meet) -> Ref:
-        tmp = m.rename_bank(root2, OUTPUT_BANK, SCRATCH_BANK)
-        tmp = m.rename_bank(tmp, INPUT_BANK, OUTPUT_BANK)
-        tmp = m.apply(root1, tmp, meet)
-        tmp = m.trim_bank(tmp, OUTPUT_BANK)
-        return m.rename_bank(tmp, SCRATCH_BANK, OUTPUT_BANK)
-
+    chain = partial(m.relational_product, trim=OUTPUT_BANK,
+                    move=(SCRATCH_BANK, OUTPUT_BANK), shift=1)
     return _product(t1, t2, Transducer(t1.alphabet, m, name="compose"), chain)
 
 

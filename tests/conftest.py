@@ -1,6 +1,7 @@
 import pytest
 
 from symta import Alphabet, Manager, TreeAutomaton
+from symta.mtbdd import LEAF_LEVEL
 
 
 @pytest.fixture
@@ -48,3 +49,52 @@ def function_table(manager, root):
         return half + half
 
     return rec(root, 0)
+
+
+# -- the apply, trim and rename chain that Manager.relational_product fuses --
+
+def reference_trim(m, root, bank):
+    """Unite the branches of every node of ``bank`` with one apply each."""
+    cache = {}
+
+    def rec(a):
+        if a.var == LEAF_LEVEL:
+            return a
+        res = cache.get(a)
+        if res is None:
+            low, high = rec(a.low), rec(a.high)
+            res = (m.apply(low, high, lambda x, y: x | y) if a.var % m.banks == bank
+                   else m.node(a.var, low, high))
+            cache[a] = res
+        return res
+
+    return rec(root)
+
+
+def reference_rename(m, root, src, dst):
+    """Rebuild ``root`` with every variable of bank ``src`` moved to ``dst``."""
+    cache = {}
+
+    def rec(a):
+        if a.var == LEAF_LEVEL:
+            return a
+        res = cache.get(a)
+        if res is None:
+            var = a.var + dst - src if a.var % m.banks == src else a.var
+            res = m.node(var, rec(a.low), rec(a.high))
+            cache[a] = res
+        return res
+
+    return rec(root)
+
+
+def reference_relabel(m, root_a, root_t, op):
+    """The apply_step layout: match bank 0, trim it, move bank 1 onto it."""
+    return reference_rename(m, reference_trim(m, m.apply(root_a, root_t, op), 0), 1, 0)
+
+
+def reference_chain(m, root1, root2, op):
+    """The compose layout: lift ``root2`` one bank up, match bank 1, trim
+    it, and move bank 2 onto it."""
+    lifted = reference_rename(m, reference_rename(m, root2, 1, 2), 0, 1)
+    return reference_rename(m, reference_trim(m, m.apply(root1, lifted, op), 1), 2, 1)

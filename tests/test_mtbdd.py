@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symta.io import _split_cubes
 from symta.mtbdd import (
     LEAF_LEVEL,
     Leaf,
@@ -15,7 +17,13 @@ from symta.mtbdd import (
     cube_to_text,
 )
 
-from conftest import function_table
+from conftest import (
+    function_table,
+    reference_chain,
+    reference_relabel,
+    reference_rename,
+    reference_trim,
+)
 
 UNION = lambda x, y: x | y
 
@@ -315,6 +323,131 @@ def test_rename_rejects_occupied_destination():
                    m.from_cube((1, 0), m.leaf([2]), banks=(1,)), UNION)
     with pytest.raises(ValueError):
         m.rename_bank(both, 0, 1)
+
+
+# -- union table and relational product -------------------------------------------
+
+def _random_root(rng, m, banks, count, dont_care=0.5):
+    """Cubes over ``banks`` written one over another onto bottom."""
+    root = m.bottom
+    for _ in range(count):
+        cube = _random_cube(rng, m.width * len(banks), dont_care)
+        root = m.from_cube(cube, m.leaf(rng.sample(range(6), rng.randint(1, 2))),
+                           banks, onto=root)
+    return root
+
+
+def test_union_is_the_apply_union_handle():
+    rng = random.Random(7310)
+    for trial in range(300):
+        width, banks = rng.randint(0, 6), rng.randint(1, 3)
+        m = Manager(width, banks)
+        every_bank = tuple(range(banks))
+        f = _random_root(rng, m, every_bank, rng.randint(0, 6))
+        g = _random_root(rng, m, every_bank, rng.randint(0, 6))
+        united = m.union(f, g)
+        assert united is m.apply(f, g, UNION), trial
+        assert m.union(g, f) is united, trial
+        assert m.union(f, m.bottom) is f and m.union(m.bottom, f) is f, trial
+        assert m.union(f, f) is f, trial
+        assert m.union(united, f) is m.apply(united, f, UNION), trial
+
+
+def test_repeated_union_interns_nothing_and_counts_one_apply():
+    rng = random.Random(7311)
+    m = Manager(5, banks=2)
+    f = _random_root(rng, m, (0, 1), 6)
+    g = _random_root(rng, m, (0, 1), 6)
+    united = m.union(f, g)
+    nodes, leaves, calls = len(m._unique), len(m._leaves), m.apply_calls
+    assert m.union(g, f) is united
+    assert (len(m._unique), len(m._leaves)) == (nodes, leaves)
+    assert m.apply_calls == calls + 1
+
+
+def _recording_meet():
+    """A stateful functor like the product's: each new pair of leaf states
+    gets the next id, so the ids depend on the order of the calls."""
+    calls, ids = [], {}
+
+    def meet(x, y):
+        calls.append((x, y))
+        return {ids.setdefault((p, q), len(ids)) for p in sorted(x) for q in sorted(y)}
+
+    return calls, meet
+
+
+def test_relational_product_is_the_apply_trim_rename_chain():
+    rng = random.Random(7312)
+    for trial in range(300):
+        m = Manager(rng.randint(0, 4), banks=3)
+        if trial % 2:  # compose: two transducers, the right one lifted a bank
+            lhs = _random_root(rng, m, (0, 1), rng.randint(0, 5))
+            rhs = _random_root(rng, m, (0, 1), rng.randint(0, 5))
+            layout = {"trim": 1, "move": (2, 1), "shift": 1}
+            reference = reference_chain
+        else:  # apply_step: an automaton against a transducer
+            lhs = _random_root(rng, m, (0,), rng.randint(0, 5))
+            rhs = _random_root(rng, m, (0, 1), rng.randint(0, 5))
+            layout = {"trim": 0, "move": (1, 0)}
+            reference = reference_relabel
+        expected_calls, meet = _recording_meet()
+        expected = reference(m, lhs, rhs, meet)
+        calls, meet = _recording_meet()
+        assert m.relational_product(lhs, rhs, meet, **layout) is expected, trial
+        assert calls == expected_calls, trial
+
+
+def test_trim_and_rename_wrappers_agree_with_the_references():
+    rng = random.Random(7313)
+    for trial in range(200):
+        m = Manager(rng.randint(0, 4), banks=3)
+        root = _random_root(rng, m, (0, 1), rng.randint(0, 6))
+        bank = rng.randint(0, 2)
+        assert m.trim_bank(root, bank) is reference_trim(m, root, bank), trial
+        assert m.rename_bank(root, 1, 2) is reference_rename(m, root, 1, 2), trial
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_diagram_recursions_stay_within_num_vars_levels():
+    """Each recursion steps to a strictly later variable per level, so
+    none needs more than num_vars + 1 frames, plus a few for the leaf
+    functor and interning.  The Timbuk writer's cube splitting is held to
+    the same bound."""
+    m = Manager(16, banks=3)
+    rng = random.Random(7314)
+    cubes = [tuple(rng.randint(0, 1) for _ in range(m.num_vars)) for _ in range(4)]
+    pair_cubes = [tuple(rng.randint(0, 1) for _ in range(2 * m.width)) for _ in range(4)]
+    leaf = m.leaf([1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + m.num_vars + 30)
+    try:
+        f = m.from_cube(cubes[0], leaf, (0, 1, 2))
+        f = m.from_cube(cubes[1], m.leaf([2]), (0, 1, 2), onto=f)
+        g = m.from_cube(cubes[2], m.leaf([3]), (0, 1, 2))
+        u = m.apply(f, g, UNION)
+        assert m.union(f, g) is u
+        m.monadic_apply(u, lambda v: frozenset(q + 1 for q in v))
+        assert set(m.leaf_values(u)) == {frozenset(), frozenset({1}),
+                                         frozenset({2}), frozenset({3})}
+        t1 = m.from_cube(pair_cubes[0], leaf, (0, 1))
+        t1 = m.from_cube(pair_cubes[1], m.leaf([2]), (0, 1), onto=t1)
+        t2 = m.from_cube(pair_cubes[2], leaf, (0, 1))
+        t2 = m.from_cube(pair_cubes[3], m.leaf([4]), (0, 1), onto=t2)
+        m.relational_product(t1, t2, UNION, trim=1, move=(2, 1), shift=1)
+        a = m.from_cube(cubes[3][:m.width], leaf, (0,))
+        m.relational_product(a, t1, UNION, trim=0, move=(1, 0))
+        m.trim_bank(u, 1)
+        m.rename_bank(t1, 1, 2)
+        assert len(list(_split_cubes(m, u, list(range(m.num_vars))))) == 3
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- evaluate ---------------------------------------------------------------------

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from symta import Alphabet, Manager, TreeAutomaton
-from symta.io import extract_rules, extract_transitions
+from symta.io import extract_rules, extract_transitions, write_timbuk
 from symta.mtbdd import cube_from_text, cube_to_text
+from symta.ops import _product
 from symta.oracle import (
     all_terms_upto,
     chain_rules,
@@ -23,6 +24,8 @@ from symta.transducer import (
     identity_transducer,
     transducer_manager,
 )
+
+from conftest import reference_chain, reference_relabel
 
 
 def four_letter_alphabet():
@@ -244,6 +247,20 @@ def test_compose_associativity_through_images():
         left = apply_step(compose(compose(t1, t2), t3), aut)
         right = apply_step(compose(t1, compose(t2, t3)), aut)
         assert image_lang(left) == image_lang(right), seed
+
+
+def test_written_results_equal_the_apply_trim_rename_chain():
+    """The fused product leaves the functor calls, hence the s0..sk names,
+    and the written documents as the unfused chain had them."""
+    for seed in range(200):
+        aut, t1, t2 = random_setup(600 + seed, with_second=True)
+        m = aut.manager
+        image = _product(aut, t1, TreeAutomaton(aut.alphabet, m, name="image"),
+                         lambda ra, rt, meet: reference_relabel(m, ra, rt, meet))
+        assert write_timbuk(apply_step(t1, aut)) == write_timbuk(image), seed
+        chained = _product(t1, t2, Transducer(t1.alphabet, m, name="compose"),
+                           lambda r1, r2, meet: reference_chain(m, r1, r2, meet))
+        assert write_timbuk(compose(t1, t2)) == write_timbuk(chained), seed
 
 
 # -- guardrails ------------------------------------------------------------------------
