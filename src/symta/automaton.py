@@ -76,13 +76,10 @@ class SuperStateIndex:
         return sorted(self._buckets.get(arity, ()))
 
     def containing(self, state: int, arity: int,
-                   position: int | None = None) -> list[tuple[int, ...]]:
-        """Stored arity-n tuples holding ``state`` (at ``position`` when
-        given, anywhere otherwise), in ascending order."""
-        positions = self._positions_of(arity)
-        if position is not None:
-            return list(positions[position].get(state, ()))
-        return sorted({sp for by_state in positions for sp in by_state.get(state, ())})
+                   position: int) -> list[tuple[int, ...]]:
+        """Stored arity-n tuples holding ``state`` at ``position``, in
+        ascending order."""
+        return list(self._positions_of(arity)[position].get(state, ()))
 
     def unite(self, manager: Manager, sets: Sequence) -> Ref:
         """Union of the roots of the stored tuples of arity ``len(sets)``

@@ -281,27 +281,25 @@ class TransitionCube:
     targets: frozenset
 
 
-def _split_cubes(manager: Manager, root: Ref, variables: list[int]):
+def _split_cubes(root: Ref, variables: list[int]):
     """Cube splitting with test symbols: start all don't-care, bind a
-    variable only when the two bindings disagree, 0 before 1.  Nests at
-    most ``len(variables) + 1`` generators deep."""
-
-    def rec(ref: Ref, depth: int, prefix: list):
-        if depth == len(variables):
-            if ref.var != LEAF_LEVEL:
-                raise ValueError("diagram uses variables outside the given banks")
+    variable only when the two bindings disagree, 0 before 1.  An explicit
+    stack walks the diagram, each entry jumping straight to its node's
+    variable and padding the variables skipped on the way with X."""
+    depth_of = {var: depth for depth, var in enumerate(variables)}
+    stack = [(root, ())]
+    while stack:
+        ref, prefix = stack.pop()
+        if ref.var == LEAF_LEVEL:
             if ref.value:
-                yield tuple(prefix), ref.value
-            return
-        var = variables[depth]
-        if ref.var == var:
-            yield from rec(ref.low, depth + 1, prefix + [0])
-            yield from rec(ref.high, depth + 1, prefix + [1])
-        else:
-            # both bindings give the same sub-diagram: leave X
-            yield from rec(ref, depth + 1, prefix + [None])
-
-    yield from rec(root, 0, [])
+                yield prefix + (None,) * (len(variables) - len(prefix)), ref.value
+            continue
+        depth = depth_of.get(ref.var)
+        if depth is None:
+            raise ValueError("diagram uses variables outside the given banks")
+        prefix += (None,) * (depth - len(prefix))
+        stack.append((ref.high, prefix + (1,)))
+        stack.append((ref.low, prefix + (0,)))
 
 
 def extract_transitions(machine: StateMachine) -> list[TransitionCube]:
@@ -317,7 +315,7 @@ def extract_transitions(machine: StateMachine) -> list[TransitionCube]:
                  for bit in range(m.width) for bank in machine.banks]
     out = []
     for sp, root in machine.index.items():
-        for cube, value in _split_cubes(m, root, variables):
+        for cube, value in _split_cubes(root, variables):
             out.append(TransitionCube(cube, sp, value))
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .automaton import TreeAutomaton
 
@@ -43,6 +44,27 @@ class _StateAllocator:
         self.res.adopt_state(sid, f"s{self.count}")
         self.count += 1
         return sid
+
+
+# -- the worklist step ----------------------------------------------------------
+
+def _rows_holding(index, n, states, item, family) -> set:
+    """The pairs (sp, combo) of a stored arity-n tuple ``sp`` holding a
+    member of ``states`` at some position i and a tuple ``combo`` with
+    ``item`` at i and a member of ``family(sp[j])`` at every other j.
+
+    The step of every worklist here: the rows that a dequeued ``item``
+    lets fire hold one of its states at a fixed position, and meet the
+    items already known at the others.  The cost is in the rows returned.
+    """
+    rows = set()
+    for q in states:
+        for i in range(n):
+            for sp in index.containing(q, n, i):
+                choices = [family(p) for p in sp]
+                choices[i] = (item,)
+                rows.update((sp, combo) for combo in itertools.product(*choices))
+    return rows
 
 
 # -- union -----------------------------------------------------------------
@@ -93,9 +115,8 @@ def _product(left, right, res, combine):
     Apply functor ``meet`` maps two leaves to the ids of their pairs.
 
     A pair of stored rows is combined once, at the dequeue of the last of
-    its component pairs, which it holds at some position i; so only the
-    rows holding the dequeued pair at one position (the operands' position
-    indices) are candidates, taken in sorted order.
+    its component pairs: ``_rows_holding`` draws the right tuple from the
+    partners dequeued with each left component.  Rows go in sorted order.
     """
     m = left.manager
     alloc = _StateAllocator(res)
@@ -117,26 +138,19 @@ def _product(left, right, res, combine):
 
     res.index.set((), combine(left.initial_root(), right.initial_root(), meet),
                   m.bottom)
-    done: set[tuple[int, int]] = set()
+    done: dict[int, list[int]] = {}  # left state -> right partners dequeued
     while queue:
         qa, qb = queue.popleft()
-        done.add((qa, qb))
+        done.setdefault(qa, []).append(qb)
         if qa in left.finals and qb in right.finals:
             res.finals.add(pair_id[(qa, qb)])
         for n in left.index.arities():
-            if n == 0:
-                continue
-            rows = set()
-            for i in range(n):
-                rights = right.index.containing(qb, n, i)
-                rows.update((sp1, sp2)
-                            for sp1 in left.index.containing(qa, n, i)
-                            for sp2 in rights
-                            if all(pair in done for pair in zip(sp1, sp2)))
+            rows = _rows_holding(left.index, n, (qa,), qb, lambda p: done.get(p, ()))
             for sp1, sp2 in sorted(rows):
-                root = combine(left.index.get(sp1), right.index.get(sp2), meet)
-                res.index.set(tuple(pair_id[pair] for pair in zip(sp1, sp2)),
-                              root, m.bottom)
+                root2 = right.index.get(sp2)
+                if root2 is not None:
+                    row = combine(left.index.get(sp1), root2, meet)
+                    res.index.set(tuple(map(pair_id.get, zip(sp1, sp2))), row, m.bottom)
     return res
 
 
@@ -157,18 +171,13 @@ def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
 def determinise(a: TreeAutomaton) -> TreeAutomaton:
     """Subset construction over macrostates, working leafwise.
 
-    For every tuple of macrostates the diagrams of the member super-states
-    are united (``SuperStateIndex.unite``), then a monadic pass interns
-    each union leaf as one macrostate.  The empty macrostate is the sink
-    and is neither created nor expanded, and only reachable macrostates
-    appear.
-
-    The work is output-sensitive: a dequeued macrostate is combined only
-    with macrostate tuples that some stored super-state matches, found
-    through the index's positions and a state-to-macrostates map, so every
-    tuple that is united yields a row of the result.  Tuples are taken in
-    lexicographic order of macrostate indices, as a full enumeration
-    would meet them, which keeps the ``s0..sk`` naming.
+    A row unites the diagrams of the stored super-states a macrostate tuple
+    holds, and a monadic pass interns each union leaf as one macrostate;
+    the empty one is the sink and is never created.  A dequeued macrostate
+    meets only the tuples ``_rows_holding`` finds for it, and their rows
+    are the ones folded, in ascending order.  Tuples are taken in
+    lexicographic order of macrostate indices, as a full enumeration would
+    meet them, which keeps the ``s0..sk`` naming.
     """
     m = a.manager
     res = _result(a, "determinise")
@@ -200,25 +209,23 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
     while queue:
         current = queue.popleft()
         for n in a.index.arities():
-            if n == 0:
-                continue
             # only the macrostates that exist when the pass starts take part
             for k in range(indexed, len(members)):
                 for q in members[k]:
                     macros_of.setdefault(q, []).append(k)
             indexed = len(members)
-            combos: set[tuple[int, ...]] = set()
-            for q in members[current]:
-                for i in range(n):
-                    for sp in a.index.containing(q, n, i):
-                        choices = [macros_of.get(p, ()) for p in sp]
-                        choices[i] = (current,)
-                        combos.update(itertools.product(*choices))
-            for combo in sorted(combos - processed):
+            rows = _rows_holding(a.index, n, members[current], current,
+                                 lambda p: macros_of.get(p, ()))
+            for combo, group in itertools.groupby(
+                    sorted((combo, sp) for sp, combo in rows), itemgetter(0)):
+                if combo in processed:
+                    continue
                 processed.add(combo)
-                tmp = a.index.unite(m, [members[k] for k in combo])
+                root = m.bottom
+                for _, sp in group:
+                    root = m.union(root, a.index.get(sp))
                 res.index.set(tuple(macro_sid[k] for k in combo),
-                              m.monadic_apply(tmp, collect_sets), m.bottom)
+                              m.monadic_apply(root, collect_sets), m.bottom)
     return res
 
 
@@ -260,7 +267,8 @@ def _reachable(a: TreeAutomaton):
 
     Simulates runs over all trees: the initial root's leaves are reached,
     and so are the leaves of a super-state's root once all of its
-    components are.
+    components are, which ``_rows_holding`` finds at the dequeue of the
+    last of them; rows are taken in ascending order.
     """
     m = a.manager
     reached: set[int] = set()
@@ -274,12 +282,10 @@ def _reachable(a: TreeAutomaton):
         reached.add(q)
         yield q
         for n in a.index.arities():
-            if n == 0:
-                continue
-            for sp in a.index.containing(q, n):
-                if all(c in reached for c in sp):
-                    for leaf in m.leaf_values(a.index.get(sp)):
-                        queue.extend(sorted(leaf))
+            rows = _rows_holding(a.index, n, (q,), q, lambda p: {p} & reached)
+            for sp, _ in sorted(rows):
+                for leaf in m.leaf_values(a.index.get(sp)):
+                    queue.extend(sorted(leaf))
 
 
 def prune_unreachable(a: TreeAutomaton) -> TreeAutomaton:
@@ -512,7 +518,9 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
     states reachable over some common tree.  A pair with a final q and no
     final partner refutes inclusion.  Per left state only subset-minimal
     partner sets are kept: a new pair is dropped when a stored subset
-    exists, and stored supersets are evicted on insertion.
+    exists, and stored supersets are evicted on insertion.  A dequeued
+    pair meets the others through ``_rows_holding``, as in Bouajjani et
+    al.'s upward antichain algorithm (CIAA 2008).
     """
     _require_compatible(a1, a2)
     m = a1.manager
@@ -533,13 +541,10 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
         if q in a1.finals and not (partners & a2.finals):
             return False
         for n in a1.index.arities():
-            if n == 0:
-                continue
-            for sp1 in a1.index.containing(q, n):
-                for combo in itertools.product(*map(antichain.family, sp1)):
-                    if not any(sp1[i] == q and combo[i] == partners
-                               for i in range(n)):
-                        continue
+            rows = _rows_holding(a1.index, n, (q,), partners, antichain.family)
+            for sp1, combo in sorted(rows, key=itemgetter(0)):
+                # a partner set evicted since is covered by its evictor
+                if all(map(antichain.contains, sp1, combo)):
                     m.apply(a1.index.get(sp1), a2.index.unite(m, combo),
                             collect_products)
     return True

@@ -445,7 +445,7 @@ def test_diagram_recursions_stay_within_num_vars_levels():
         m.relational_product(a, t1, UNION, trim=0, move=(1, 0))
         m.trim_bank(u, 1)
         m.rename_bank(t1, 1, 2)
-        assert len(list(_split_cubes(m, u, list(range(m.num_vars))))) == 3
+        assert len(list(_split_cubes(u, list(range(m.num_vars))))) == 3
     finally:
         sys.setrecursionlimit(limit)
 

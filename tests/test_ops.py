@@ -1,17 +1,20 @@
 import itertools
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symta import Manager, TreeAutomaton, parse_timbuk
+from symta.automaton import SuperStateIndex
 from symta.io import write_timbuk
 from symta.ops import (
     Antichain,
     QuotientMap,
     _StateAllocator,
+    _rows_holding,
     check_inclusion_antichain,
     check_inclusion_classical,
     complement,
@@ -34,8 +37,18 @@ from symta.oracle import (
     minimal_state_count,
     random_alphabet,
     random_automaton,
+    random_transducer,
     satisfies_downward_simulation,
     to_explicit,
+)
+from symta.transducer import (
+    INPUT_BANK,
+    OUTPUT_BANK,
+    SCRATCH_BANK,
+    Transducer,
+    apply_step,
+    compose,
+    transducer_manager,
 )
 
 SEEDS = 30
@@ -540,6 +553,27 @@ def test_antichain_agrees_with_classical_and_enumeration():
             assert not anti, seed
 
 
+def test_antichain_agrees_with_classical_on_many_seeds():
+    """500 seeded pairs, both directions: the antichain answers as the
+    classical check does, and no whenever the height-3 languages show a
+    witness."""
+    for seed in range(1000, 1500):
+        a1, a2 = pair(seed, max_states=4)
+        for left, right in ((a1, a2), (a2, a1)):
+            anti = check_inclusion_antichain(left, right)
+            assert anti == check_inclusion_classical(left, right), seed
+            if lang(left) - lang(right):
+                assert not anti, seed
+
+
+def test_automaton_and_its_determinisation_include_each_other():
+    for seed in range(60):
+        a = single(2000 + seed, max_states=6)
+        d = determinise(a)
+        assert check_inclusion_antichain(a, d), seed
+        assert check_inclusion_antichain(d, a), seed
+
+
 @given(st.lists(st.tuples(st.integers(0, 2),
                           st.frozensets(st.integers(0, 4), max_size=4)),
                 max_size=25))
@@ -560,6 +594,37 @@ def test_antichain_invariant_after_every_insertion(insertions):
 
 
 # -- discovery order of the indexed worklists ----------------------------------
+
+def test_rows_holding_is_the_filtered_product():
+    """_rows_holding equals a brute-force filter of every stored tuple
+    against the product of its families, on seeded random indices with
+    arities 0-3, a state in no stored tuple, and empty families."""
+    rng = random.Random(404)
+    for trial in range(200):
+        states = list(range(rng.randint(1, 5)))
+        index = SuperStateIndex()
+        for _ in range(rng.randint(0, 25)):
+            arity = rng.randrange(4)
+            index.set(tuple(rng.choice(states) for _ in range(arity)), object(), None)
+        unused = len(states)  # a state in no stored tuple
+        items = ["x0", "x1", "x2", "x3"]
+        families = {q: rng.sample(items, rng.randint(0, 3))
+                    for q in states + [unused]}
+        for n in range(4):
+            pool = states + [unused]
+            holding = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            item = rng.choice(items)
+            expected = set()
+            for sp in index.tuples(n):
+                for combo in itertools.product(*({item, *families[p]} for p in sp)):
+                    if any(sp[i] in holding and combo[i] == item
+                           and all(combo[j] in families[sp[j]]
+                                   for j in range(n) if j != i)
+                           for i in range(n)):
+                        expected.add((sp, combo))
+            got = _rows_holding(index, n, holding, item, families.__getitem__)
+            assert got == expected, (trial, n)
+
 
 def _reference_determinise(a):
     """The full enumeration: every tuple of known macrostates holding the
@@ -601,12 +666,11 @@ def _reference_determinise(a):
     return res
 
 
-def _reference_intersection(left, right):
+def _reference_product(left, right, res, combine):
     """The pair worklist that recombines, at each dequeue, every stored row
     pair whose rows hold the dequeued states anywhere, once all of its
     component pairs are settled."""
     m = left.manager
-    res = TreeAutomaton(left.alphabet, m, name="intersection")
     alloc = _StateAllocator(res)
     pair_id, queue = {}, deque()
 
@@ -620,7 +684,7 @@ def _reference_intersection(left, right):
             out.add(pair_id[pair])
         return out
 
-    res.index.set((), m.apply(left.initial_root(), right.initial_root(), meet),
+    res.index.set((), combine(left.initial_root(), right.initial_root(), meet),
                   m.bottom)
     done = set()
     while queue:
@@ -634,10 +698,59 @@ def _reference_intersection(left, right):
             for sp1 in [sp for sp in left.index.tuples(n) if qa in sp]:
                 for sp2 in [sp for sp in right.index.tuples(n) if qb in sp]:
                     if all(pair in done for pair in zip(sp1, sp2)):
-                        root = m.apply(left.index.get(sp1), right.index.get(sp2),
+                        root = combine(left.index.get(sp1), right.index.get(sp2),
                                        meet)
                         res.index.set(tuple(pair_id[p] for p in zip(sp1, sp2)),
                                       root, m.bottom)
+    return res
+
+
+def _reference_intersection(left, right):
+    res = TreeAutomaton(left.alphabet, left.manager, name="intersection")
+    return _reference_product(left, right, res, left.manager.apply)
+
+
+def _reference_apply_step(tr, a):
+    m = tr.manager
+    relabel = partial(m.relational_product, trim=INPUT_BANK,
+                      move=(OUTPUT_BANK, INPUT_BANK))
+    return _reference_product(a, tr, TreeAutomaton(a.alphabet, m, name="image"),
+                              relabel)
+
+
+def _reference_compose(t1, t2):
+    m = t1.manager
+    chain = partial(m.relational_product, trim=OUTPUT_BANK,
+                    move=(SCRATCH_BANK, OUTPUT_BANK), shift=1)
+    return _reference_product(t1, t2, Transducer(t1.alphabet, m, name="compose"),
+                              chain)
+
+
+def _reference_prune(a):
+    """Reachability by the all-components-reached walk over every stored
+    tuple holding the dequeued state anywhere, ascending."""
+    m = a.manager
+    res = TreeAutomaton(a.alphabet, m, name="prune")
+    alloc = _StateAllocator(res)
+    reached, queue = set(), deque()
+    for leaf in m.leaf_values(a.initial_root()):
+        queue.extend(sorted(leaf))
+    while queue:
+        q = queue.popleft()
+        if q in reached:
+            continue
+        reached.add(q)
+        alloc.adopt(q)
+        if q in a.finals:
+            res.finals.add(q)
+        for n in a.index.arities():
+            for sp in [sp for sp in a.index.tuples(n) if n and q in sp]:
+                if all(c in reached for c in sp):
+                    for leaf in m.leaf_values(a.index.get(sp)):
+                        queue.extend(sorted(leaf))
+    for sp, root in a.index.items():
+        if all(res.has_state_id(q) for q in sp):
+            res.index.set(sp, root, m.bottom)
     return res
 
 
@@ -679,31 +792,36 @@ def _doubled_skeleton(rng, n):
 
 
 def test_determinise_unites_once_per_result_row(monkeypatch):
-    """On a doubled skeleton of 20 states determinise unites exactly the
-    macrostate tuples that become rows of its result, not every tuple of
-    macrostates (60^2 of them per binary symbol here)."""
-    from symta.automaton import SuperStateIndex
-
+    """On a doubled skeleton of 20 states determinise folds and interns
+    exactly the macrostate tuples that become rows of its result, not every
+    tuple of macrostates (60^2 of them per binary symbol here): one
+    monadic pass per non-nullary row plus one for the initial root, and no
+    call of ``SuperStateIndex.unite``, whose rows it already has."""
     a = _doubled_skeleton(random.Random(20), 20)
-    unite = SuperStateIndex.unite
-    calls = 0
+    calls = {"monadic_apply": 0, "unite": 0}
 
-    def counted(self, manager, sets):
-        nonlocal calls
-        calls += 1
-        return unite(self, manager, sets)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(SuperStateIndex, "unite", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Manager, "monadic_apply")
+    counted(SuperStateIndex, "unite")
     d = determinise(a)
     assert len(d.states) == 60
-    assert calls == sum(len(d.index.tuples(n)) for n in d.index.arities() if n)
+    rows = sum(len(d.index.tuples(n)) for n in d.index.arities() if n)
+    assert calls == {"monadic_apply": rows + 1, "unite": 0}
 
 
 def test_indexed_worklists_keep_the_reference_naming():
-    """determinise and intersection name their states, write their files
-    and record origins exactly as the full enumerations do, on random
-    automata with arities 0-3 and, in some, a state that only occurs in
-    sources and so lies in no macrostate and no pair."""
+    """determinise, intersection, prune_unreachable, apply_step and
+    compose name their states, write their files and record origins
+    exactly as the full enumerations do, on random automata with arities
+    0-3 and, in some, a state that only occurs in sources and so lies in
+    no macrostate and no pair; the transducers are random too."""
     for seed in range(220):
         rng = random.Random(seed)
         alphabet = random_alphabet(rng, max_symbols=5, max_arity=3)
@@ -721,9 +839,15 @@ def test_indexed_worklists_keep_the_reference_naming():
             a = _doubled_skeleton(rng, 6)
             b = make(write_timbuk(a).replace("Automaton D", "Automaton E")
                      .replace("q", "r"), alphabet=a.alphabet, manager=a.manager)
+        m3 = transducer_manager(alphabet)
+        t1, t2 = (random_transducer(rng, alphabet, m3, name=n) for n in "TU")
+        c = random_automaton(rng, alphabet, m3, max_states=6, name="C")
         for got, expected in ((determinise(a), _reference_determinise(a)),
                               (intersection(a, b), _reference_intersection(a, b)),
-                              (intersection(b, a), _reference_intersection(b, a))):
+                              (intersection(b, a), _reference_intersection(b, a)),
+                              (prune_unreachable(a), _reference_prune(a)),
+                              (apply_step(t1, c), _reference_apply_step(t1, c)),
+                              (compose(t1, t2), _reference_compose(t1, t2))):
             assert write_timbuk(got) == write_timbuk(expected), seed
             assert _named_origins(got) == _named_origins(expected), seed
 
