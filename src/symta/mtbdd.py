@@ -226,19 +226,30 @@ class Manager:
         if ref.manager is not self:
             raise ValueError("diagram belongs to a different manager")
 
-    def apply(self, lhs: Ref, rhs: Ref, op: ApplyOp) -> Ref:
+    def apply(self, lhs: Ref, rhs: Ref, op: ApplyOp,
+              cache: dict | None = None) -> Ref:
         """Combine two diagrams leafwise: result(a) = op(lhs(a), rhs(a)).
 
-        ``op`` receives leaf values (frozensets) and may be stateful; it is
-        invoked at most once per distinct pair of nodes.  The compute cache
-        lives only for this call, precisely because functors may carry
-        state.  The one cache that outlives a call is :meth:`union`'s table,
-        allowed because its functor is fixed and stateless.
+        ``op`` receives leaf values (frozensets) and may be stateful.
+        ``cache`` is the compute table: it maps each visited pair of handles
+        to its result, so ``op`` is invoked at most once per distinct pair
+        of leaves.  By default it is fresh and lives only for this call.
+
+        A caller may pass one table to a run of calls, which then visits a
+        pair of handles once across the run.  Calls may share a table only
+        if they share one ``op`` that, given a pair of leaf values again,
+        returns what it returned the first time and has no further effect.
+        A pair found in the table was fully visited before, so every leaf
+        pair below it has met ``op`` already: the first calls of each leaf
+        pair come in the order fresh tables would give.  The one table
+        that outlives every run is :meth:`union`'s, allowed because its
+        functor is fixed and stateless.
         """
         self._check_owned(lhs)
         self._check_owned(rhs)
         self.apply_calls += 1
-        cache: dict[tuple, Ref] = {}
+        if cache is None:
+            cache = {}
 
         def rec(a: Ref, b: Ref) -> Ref:
             key = (a, b)
@@ -256,11 +267,17 @@ class Manager:
 
         return rec(lhs, rhs)
 
-    def monadic_apply(self, root: Ref, op: MonadicOp) -> Ref:
-        """Rewrite every distinct leaf of ``root`` through ``op`` (visited once)."""
+    def monadic_apply(self, root: Ref, op: MonadicOp,
+                      cache: dict | None = None) -> Ref:
+        """Rewrite every distinct leaf of ``root`` through ``op`` (visited once).
+
+        ``cache`` is the compute table, fresh by default; calls may share
+        one under the condition :meth:`apply` states.
+        """
         self._check_owned(root)
         self.apply_calls += 1
-        cache: dict[Ref, Ref] = {}
+        if cache is None:
+            cache = {}
 
         def rec(a: Ref) -> Ref:
             res = cache.get(a)
@@ -335,7 +352,7 @@ class Manager:
     def relational_product(self, lhs: Ref, rhs: Ref, op: ApplyOp,
                            trim: int | None = None,
                            move: tuple[int, int] | None = None,
-                           shift: int = 0) -> Ref:
+                           shift: int = 0, cache: dict | None = None) -> Ref:
         """The handle of ``apply(lhs, rhs, op)`` with bank ``trim`` united
         away (``trim_bank``) and bank ``move[0]`` moved onto ``move[1]``
         (``rename_bank``), made in one pass that interns no intermediate.
@@ -345,6 +362,9 @@ class Manager:
         Pairs are visited, and ``op`` called, exactly as by ``apply``; the
         trimmed levels unite through the union table.  This is the
         relational product ("AndExists") of Burch, Clarke and Long.
+        ``cache`` is the compute table, fresh by default; calls may share
+        one under the condition :meth:`apply` states, and only with one
+        ``trim``, ``move`` and ``shift``.
         """
         self._check_owned(lhs)
         self._check_owned(rhs)
@@ -355,7 +375,8 @@ class Manager:
         self.apply_calls += 1
         banks, delta = self.banks, dst - src if move else 0
         unite, node = self._unite, self.node
-        cache: dict[tuple, Ref] = {}
+        if cache is None:
+            cache = {}
 
         def rec(a: Ref, b: Ref) -> Ref:
             key = (a, b)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .automaton import TreeAutomaton
@@ -112,7 +113,9 @@ def _product(left, right, res, combine):
     Result states ``s0..sk`` name reachable pairs of operand states in
     discovery order (recorded in ``res.origins``), final when both
     components are.  Each row is ``combine(root1, root2, meet)``, where the
-    Apply functor ``meet`` maps two leaves to the ids of their pairs.
+    Apply functor ``meet`` maps two leaves to the ids of their pairs.  It
+    allocates an id only on a pair's first sight, so ``combine`` may share
+    one compute table across the run.
 
     A pair of stored rows is combined once, at the dequeue of the last of
     its component pairs: ``_rows_holding`` draws the right tuple from the
@@ -163,7 +166,8 @@ def intersection(a1: TreeAutomaton, a2: TreeAutomaton) -> TreeAutomaton:
     an empty product.  Only reachable product states are generated.
     """
     _require_compatible(a1, a2)
-    return _product(a1, a2, _result(a1, "intersection"), a1.manager.apply)
+    return _product(a1, a2, _result(a1, "intersection"),
+                    partial(a1.manager.apply, cache={}))
 
 
 # -- determinisation -----------------------------------------------------------
@@ -203,7 +207,9 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
                 res.finals.add(macro_sid[pos])
         return frozenset({macro_sid[pos]})
 
-    res.index.set((), m.monadic_apply(a.initial_root(), collect_sets), m.bottom)
+    cache: dict = {}
+    res.index.set((), m.monadic_apply(a.initial_root(), collect_sets, cache),
+                  m.bottom)
     indexed = 0                           # macrostates entered in macros_of
     processed: set[tuple[int, ...]] = set()
     while queue:
@@ -225,7 +231,7 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
                 for _, sp in group:
                     root = m.union(root, a.index.get(sp))
                 res.index.set(tuple(macro_sid[k] for k in combo),
-                              m.monadic_apply(root, collect_sets), m.bottom)
+                              m.monadic_apply(root, collect_sets, cache), m.bottom)
     return res
 
 
@@ -253,10 +259,11 @@ def complement(a: TreeAutomaton) -> TreeAutomaton:
         return leaf if leaf else frozenset({sink})
 
     all_states = list(d.states) + [sink]
+    cache: dict = {}
     for n in a.alphabet.arities():
         for sp in itertools.product(all_states, repeat=n):
             root = d.index.get(sp) or m.bottom
-            res.index.set(sp, m.monadic_apply(root, fill), m.bottom)
+            res.index.set(sp, m.monadic_apply(root, fill, cache), m.bottom)
     return res
 
 
@@ -363,10 +370,11 @@ def reduce_by_equivalence(a: TreeAutomaton, quotient: QuotientMap) -> TreeAutoma
     def relabel(acc, leaf):
         return acc | {class_state[quotient.class_of[q]] for q in leaf}
 
+    cache: dict = {}
     for sp, root in a.index.items():
         mapped = tuple(class_state[quotient.class_of[q]] for q in sp)
         prev = res.index.get(mapped) or m.bottom
-        res.index.set(mapped, m.apply(prev, root, relabel), m.bottom)
+        res.index.set(mapped, m.apply(prev, root, relabel, cache), m.bottom)
     return res
 
 
@@ -399,8 +407,9 @@ def compute_congruence(a: TreeAutomaton) -> QuotientMap:
 
     while count <= len(class_of):
         signature: dict[int, set] = {q: set() for q in class_of}
+        cache: dict = {}  # one table a round: relabel reads this round's classes
         for sp, root in a.index.items():
-            row = m.monadic_apply(root, relabel)
+            row = m.monadic_apply(root, relabel, cache)
             if row is not m.bottom:
                 for i, q in enumerate(sp):
                     signature[q].add((i, sp[:i] + sp[i + 1:], row))
@@ -440,23 +449,23 @@ def downward_simulation(a: TreeAutomaton) -> frozenset:
     states = list(a.states)
     partners: dict[int, set[int]] = {p: set(states) for p in states}
 
+    def refine(left, right):
+        nonlocal changed
+        for q in left:
+            lost = partners[q] - right
+            if lost:
+                partners[q] -= lost
+                changed = True
+        return frozenset()
+
+    cache: dict = {}  # partners only shrink, so a repeated pair is a no-op
     changed = True
     while changed:
         changed = False
         for n in a.index.arities():
             for sp in a.index.tuples(n):
                 tmp = a.index.unite(m, [partners[q] for q in sp])
-
-                def refine(left, right):
-                    nonlocal changed
-                    for q in left:
-                        lost = partners[q] - right
-                        if lost:
-                            partners[q] -= lost
-                            changed = True
-                    return frozenset()
-
-                m.apply(a.index.get(sp), tmp, refine)
+                m.apply(a.index.get(sp), tmp, refine, cache)
     return frozenset((p, q) for p in states for q in partners[p])
 
 
@@ -533,7 +542,8 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
                 work.append((q, right))
         return frozenset()
 
-    m.apply(a1.initial_root(), a2.initial_root(), collect_products)
+    cache: dict = {}  # a repeated pair finds a subset of its set stored
+    m.apply(a1.initial_root(), a2.initial_root(), collect_products, cache)
     while work:
         q, partners = work.popleft()
         if not antichain.contains(q, partners):
@@ -546,7 +556,7 @@ def check_inclusion_antichain(a1: TreeAutomaton, a2: TreeAutomaton) -> bool:
                 # a partner set evicted since is covered by its evictor
                 if all(map(antichain.contains, sp1, combo)):
                     m.apply(a1.index.get(sp1), a2.index.unite(m, combo),
-                            collect_products)
+                            collect_products, cache)
     return True
 
 

@@ -86,7 +86,7 @@ def apply_step(tr: Transducer, a: TreeAutomaton) -> TreeAutomaton:
     _require_compatible(tr, a)
     m = tr.manager
     relabel = partial(m.relational_product, trim=INPUT_BANK,
-                      move=(OUTPUT_BANK, INPUT_BANK))
+                      move=(OUTPUT_BANK, INPUT_BANK), cache={})
     return _product(a, tr, TreeAutomaton(a.alphabet, m, name="image"), relabel)
 
 
@@ -100,7 +100,7 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     _require_compatible(t1, t2)
     m = t1.manager
     chain = partial(m.relational_product, trim=OUTPUT_BANK,
-                    move=(SCRATCH_BANK, OUTPUT_BANK), shift=1)
+                    move=(SCRATCH_BANK, OUTPUT_BANK), shift=1, cache={})
     return _product(t1, t2, Transducer(t1.alphabet, m, name="compose"), chain)
 
 

@@ -408,6 +408,50 @@ def test_trim_and_rename_wrappers_agree_with_the_references():
         assert m.rename_bank(root, 1, 2) is reference_rename(m, root, 1, 2), trial
 
 
+def _recording_collect():
+    """The monadic counterpart of ``_recording_meet``: each new leaf value
+    gets the next id."""
+    calls, ids = [], {}
+
+    def collect(x):
+        calls.append(x)
+        return {ids.setdefault(x, len(ids))}
+
+    return calls, collect
+
+
+def test_a_shared_compute_table_is_a_run_of_fresh_ones():
+    """A run of calls sharing one table and one id-allocating functor
+    returns the handles fresh tables give, calls the functor at most once
+    per pair of leaves across the run, and makes the first call of each
+    pair in the order fresh tables do: apply, monadic_apply, and
+    relational_product in both bank layouts."""
+    rng = random.Random(7315)
+    layouts = {"apply_step": ((0,), {"trim": 0, "move": (1, 0)}),
+               "compose": ((0, 1), {"trim": 1, "move": (2, 1), "shift": 1})}
+    for trial in range(200):
+        m = Manager(rng.randint(0, 4), banks=3)
+        name = rng.choice(("apply", "monadic_apply") + tuple(layouts))
+        lhs_banks, layout = layouts.get(name, ((0, 1), {}))
+        lefts = [_random_root(rng, m, lhs_banks, rng.randint(0, 4)) for _ in range(4)]
+        rights = [_random_root(rng, m, (0, 1), rng.randint(0, 4)) for _ in range(4)]
+        run = [(rng.choice(lefts), rng.choice(rights)) for _ in range(8)]
+        if name == "monadic_apply":
+            run = [(f,) for f, _ in run]
+            method, recording = m.monadic_apply, _recording_collect
+        else:
+            method = m.apply if name == "apply" else m.relational_product
+            recording = _recording_meet
+        fresh_calls, op = recording()
+        expected = [method(*roots, op, **layout) for roots in run]
+        shared_calls, op = recording()
+        table = {}
+        got = [method(*roots, op, cache=table, **layout) for roots in run]
+        assert all(x is y for x, y in zip(got, expected)), (trial, name)
+        assert len(shared_calls) == len(set(shared_calls)), (trial, name)
+        assert shared_calls == list(dict.fromkeys(fresh_calls)), (trial, name)
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:

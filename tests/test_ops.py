@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from collections import deque
@@ -854,3 +855,45 @@ def test_indexed_worklists_keep_the_reference_naming():
 
 def _named_origins(res):
     return {res.state_name(sid): origin for sid, origin in res.origins.items()}
+
+
+def _sharing_ops_outputs(seed):
+    """Written texts, origins, simulation relations and inclusion answers
+    of every operation that shares a compute table, on one seeded instance
+    in fresh managers."""
+    rng = random.Random(seed)
+    alphabet = random_alphabet(rng, max_symbols=5, max_arity=3)
+    manager = Manager(alphabet.width)
+    a = random_automaton(rng, alphabet, manager, max_states=6, name="A")
+    b = random_automaton(rng, alphabet, manager, max_states=6, name="B")
+    m3 = transducer_manager(alphabet)
+    t1, t2 = (random_transducer(rng, alphabet, m3, name=n) for n in "TU")
+    c = random_automaton(rng, alphabet, m3, max_states=6, name="C")
+    d = determinise(a)
+    results = [d, complement(a), minimise(a), reduce_by_simulation(a),
+               intersection(a, b), apply_step(t1, c), compose(t1, t2)]
+    relations = [{(x.state_name(p), x.state_name(q))
+                  for p, q in downward_simulation(x)} for x in (a, d)]
+    answers = [check(x, y) for check in (check_inclusion_antichain,
+                                         check_inclusion_classical)
+               for x, y in ((a, b), (b, a), (a, d), (d, a))]
+    return ([(write_timbuk(r), _named_origins(r)) for r in results],
+            relations, answers)
+
+
+def test_shared_compute_tables_change_no_output(monkeypatch):
+    """Every operation gives the same output whether its Apply calls share
+    one compute table or each starts from a fresh one, as they all did
+    before the tables were shared."""
+    shared = [_sharing_ops_outputs(seed) for seed in range(200)]
+    for name in ("apply", "monadic_apply", "relational_product"):
+        original = getattr(Manager, name)
+        signature = inspect.signature(original)
+
+        def fresh(*args, _original=original, _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.arguments.pop("cache", None)
+            return _original(*bound.args, **bound.kwargs)
+        monkeypatch.setattr(Manager, name, fresh)
+    for seed, outputs in enumerate(shared):
+        assert _sharing_ops_outputs(seed) == outputs, seed
