@@ -4,6 +4,10 @@ Answers go to stdout, diagnostics to stderr; the exit code is the only
 success/failure channel.  Codes: 0 ok / yes / empty, 1 no / nonempty,
 2 usage, 3 I/O error, 4 format error, 5 internal invariant breach (this
 includes a failed --check-oracle cross-validation).
+
+The verbs that write a result file are rows of :data:`TRANSFORMS`, one
+table keyed by verb name; a single handler loads, runs, checks and
+writes for all of them.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ def _emit(text: str, path: str | None):
             handle.write(text)
 
 
-def _load(paths: list[str], builders: list):
-    """Build each file with its builder over one alphabet and one manager;
-    the manager has the transducer banks if a transducer is among them."""
+def _load(args, *builders):
+    """Build each input file named in ``args`` with its builder over one
+    alphabet and one manager; the manager has the transducer banks if a
+    transducer is among them."""
+    paths = [args.input] if len(builders) == 1 else [args.input0, args.input1]
     docs = [tio.parse_timbuk_document(_read(p)) for p in paths]
     alphabet = tio.alphabet_from_documents(*docs)
     banks = 3 if any(doc.kind == "transducer" for doc in docs) else 1
@@ -47,31 +53,47 @@ def _load(paths: list[str], builders: list):
     return [build(doc, alphabet, manager) for build, doc in zip(builders, docs)]
 
 
-def _check_language(result, inputs, expected_of):
+def _lang(aut) -> set:
+    return oracle.language_upto(oracle.to_explicit(aut), ORACLE_HEIGHT)
+
+
+def _universe(aut) -> set:
+    return set(oracle.all_terms_upto(aut.alphabet, ORACLE_HEIGHT))
+
+
+def _image(tr, aut) -> set:
+    return oracle.transducer_image(oracle.explicit_transducer_rules(tr),
+                                   frozenset(tr.final_names()),
+                                   oracle.to_explicit(aut), ORACLE_HEIGHT)
+
+
+def _check_language(result, expected: set):
     """--check-oracle support: compare the result's language at height 3
     against a set computed purely explicitly from the inputs."""
-    explicit_inputs = [oracle.to_explicit(a) for a in inputs]
-    expected = expected_of(explicit_inputs)
-    actual = oracle.language_upto(oracle.to_explicit(result), ORACLE_HEIGHT)
+    actual = _lang(result)
     if actual != expected:
         raise InternalCheckError(
             f"oracle cross-check failed: {len(actual)} accepted terms,"
             f" expected {len(expected)}")
 
 
-def _write_result(aut, args, inputs=None, expected_of=None):
-    if getattr(args, "check_oracle", False) and expected_of is not None:
-        _check_language(aut, inputs, expected_of)
-    _emit(tio.write_timbuk(aut), args.output)
-    return 0
+_AUT, _TR = tio.build_automaton, tio.build_transducer
 
-
-def _lang(x):
-    return oracle.language_upto(x, ORACLE_HEIGHT)
-
-
-def _universe(x):
-    return set(oracle.all_terms_upto(x.alphabet, ORACLE_HEIGHT))
+#: The result-writing verbs: verb -> (a builder per input file, the
+#: operation over the built inputs, the language its result must have at
+#: height 3 computed from the same inputs, or None for no --check-oracle).
+TRANSFORMS = {
+    "union": ((_AUT, _AUT), ops.union, lambda a, b: _lang(a) | _lang(b)),
+    "intersect": ((_AUT, _AUT), ops.intersection,
+                  lambda a, b: _lang(a) & _lang(b)),
+    "determinise": ((_AUT,), ops.determinise, _lang),
+    "complement": ((_AUT,), ops.complement, lambda a: _universe(a) - _lang(a)),
+    "prune": ((_AUT,), ops.prune_unreachable, _lang),
+    "minimise": ((_AUT,), ops.minimise, _lang),
+    "reduce-sim": ((_AUT,), ops.reduce_by_simulation, _lang),
+    "apply-trans": ((_TR, _AUT), apply_step, _image),
+    "compose": ((_TR, _TR), compose, None),
+}
 
 
 def main(argv=None) -> int:
@@ -117,124 +139,70 @@ def _build_parser() -> argparse.ArgumentParser:
         if extra:
             extra(p)
         p.set_defaults(handler=handler)
-        return p
 
-    add("union", _cmd_union, inputs=2, check=True)
-    add("intersect", _cmd_intersect, inputs=2, check=True)
-    add("determinise", _cmd_determinise, check=True)
-    add("complement", _cmd_complement, check=True)
-    add("prune", _cmd_prune, check=True)
-    add("minimise", _cmd_minimise, check=True)
-    add("reduce-sim", _cmd_reduce_sim, check=True)
+    def add_transforms(over_transducers: bool):
+        for verb, (builders, _, expected) in TRANSFORMS.items():
+            if (_TR in builders) == over_transducers:
+                add(verb, _cmd_transform, inputs=len(builders),
+                    check=expected is not None)
+
+    # `symta -h` lists the answering verbs between the automaton and the
+    # transducer transforms.
+    add_transforms(False)
     add("is-empty", _cmd_is_empty, output=False)
     add("incl", _cmd_incl, inputs=2, output=False,
         extra=lambda p: p.add_argument("--method", default="antichain",
                                        choices=("antichain", "classical")))
     add("member", _cmd_member, output=False,
         extra=lambda p: p.add_argument("-t", "--term", required=True))
-    add("apply-trans", _cmd_apply_trans, inputs=2, check=True)
-    add("compose", _cmd_compose, inputs=2)
+    add_transforms(True)
     add("dot", _cmd_dot)
     add("stats", _cmd_stats, output=False)
     return parser
 
 
-def _cmd_union(args):
-    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
-    return _write_result(ops.union(a1, a2), args, [a1, a2],
-                         lambda xs: _lang(xs[0]) | _lang(xs[1]))
-
-
-def _cmd_intersect(args):
-    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
-    return _write_result(ops.intersection(a1, a2), args, [a1, a2],
-                         lambda xs: _lang(xs[0]) & _lang(xs[1]))
-
-
-def _cmd_determinise(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    return _write_result(ops.determinise(a), args, [a], lambda xs: _lang(xs[0]))
-
-
-def _cmd_complement(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    return _write_result(ops.complement(a), args, [a],
-                         lambda xs: _universe(xs[0]) - _lang(xs[0]))
-
-
-def _cmd_prune(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    return _write_result(ops.prune_unreachable(a), args, [a],
-                         lambda xs: _lang(xs[0]))
-
-
-def _cmd_minimise(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    return _write_result(ops.minimise(a), args, [a], lambda xs: _lang(xs[0]))
-
-
-def _cmd_reduce_sim(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    return _write_result(ops.reduce_by_simulation(a), args, [a],
-                         lambda xs: _lang(xs[0]))
-
-
-def _cmd_is_empty(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    if ops.is_empty(a):
-        print("empty")
-        return 0
-    print("nonempty")
-    return 1
-
-
-def _cmd_incl(args):
-    a1, a2 = _load([args.input0, args.input1], [tio.build_automaton] * 2)
-    if args.method == "antichain":
-        holds = ops.check_inclusion_antichain(a1, a2)
-    else:
-        holds = ops.check_inclusion_classical(a1, a2)
-    print("yes" if holds else "no")
-    return 0 if holds else 1
-
-
-def _cmd_member(args):
-    (a,) = _load([args.input], [tio.build_automaton])
-    accepted = a.accepts(parse_term(args.term))
-    print("yes" if accepted else "no")
-    return 0 if accepted else 1
-
-
-def _cmd_apply_trans(args):
-    tr, aut = _load([args.input0, args.input1],
-                    [tio.build_transducer, tio.build_automaton])
-    result = apply_step(tr, aut)
-    if args.check_oracle:
-        rules = oracle.explicit_transducer_rules(tr)
-        finals = frozenset(tr.final_names())
-        expected = oracle.transducer_image(rules, finals,
-                                           oracle.to_explicit(aut), ORACLE_HEIGHT)
-        actual = oracle.language_upto(oracle.to_explicit(result), ORACLE_HEIGHT)
-        if actual != expected:
-            raise InternalCheckError("oracle cross-check failed for apply-trans")
+def _cmd_transform(args):
+    builders, operation, expected = TRANSFORMS[args.verb]
+    inputs = _load(args, *builders)
+    result = operation(*inputs)
+    if getattr(args, "check_oracle", False):
+        _check_language(result, expected(*inputs))
     _emit(tio.write_timbuk(result), args.output)
     return 0
 
 
-def _cmd_compose(args):
-    t1, t2 = _load([args.input0, args.input1], [tio.build_transducer] * 2)
-    _emit(tio.write_timbuk(compose(t1, t2)), args.output)
-    return 0
+def _answer(holds: bool, yes: str, no: str) -> int:
+    print(yes if holds else no)
+    return 0 if holds else 1
+
+
+def _cmd_is_empty(args):
+    (a,) = _load(args, _AUT)
+    return _answer(ops.is_empty(a), "empty", "nonempty")
+
+
+def _cmd_incl(args):
+    a1, a2 = _load(args, _AUT, _AUT)
+    if args.method == "antichain":
+        holds = ops.check_inclusion_antichain(a1, a2)
+    else:
+        holds = ops.check_inclusion_classical(a1, a2)
+    return _answer(holds, "yes", "no")
+
+
+def _cmd_member(args):
+    (a,) = _load(args, _AUT)
+    return _answer(a.accepts(parse_term(args.term)), "yes", "no")
 
 
 def _cmd_dot(args):
-    (a,) = _load([args.input], [tio.build_automaton])
+    (a,) = _load(args, _AUT)
     _emit(tio.to_dot(a), args.output)
     return 0
 
 
 def _cmd_stats(args):
-    (a,) = _load([args.input], [tio.build_automaton])
+    (a,) = _load(args, _AUT)
     info = a.stats()
     print(f"states {info['states']}")
     print(f"finals {info['finals']}")

@@ -294,33 +294,12 @@ class Manager:
     def project(self, root: Ref, cube: Cube, banks: Sequence[int] = (0,)) -> Ref:
         """Keep ``root``'s values on assignments compatible with ``cube``.
 
-        Everything else maps to bottom.  This fuses the construction of a
-        projection BDD with its application.
+        Everything else maps to bottom.  One Apply does it: the mask is
+        ``root`` with bottom written over the cube, so ``x - mask`` leaves
+        ``x`` inside the cube and nothing outside it.
         """
-        self._check_owned(root)
-        bindings = self._bindings(cube, banks)
-        cache: dict[tuple, Ref] = {}
-
-        def rec(a: Ref, k: int) -> Ref:
-            if k == len(bindings):
-                return a
-            key = (a, k)
-            res = cache.get(key)
-            if res is None:
-                var, bit = bindings[k]
-                if a.var < var:
-                    res = self.node(a.var, rec(a.low, k), rec(a.high, k))
-                else:
-                    child = rec(a.high if (a.var == var and bit == 1)
-                                else a.low if a.var == var else a, k + 1)
-                    if bit == 1:
-                        res = self.node(var, self.bottom, child)
-                    else:
-                        res = self.node(var, child, self.bottom)
-                cache[key] = res
-            return res
-
-        return rec(root, 0)
+        mask = self.from_cube(cube, self.bottom, banks, onto=root)
+        return self.apply(root, mask, lambda x, y: x - y)
 
     def union(self, lhs: Ref, rhs: Ref) -> Ref:
         """The handle ``apply(lhs, rhs, lambda x, y: x | y)`` returns, counted

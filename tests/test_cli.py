@@ -1,7 +1,10 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from symta import cli
 from symta.cli import main
 
 from dot_check import validate_dot
@@ -156,6 +159,38 @@ def test_check_oracle_passes_on_language_verbs(files, capsys):
         argv = [verb] + [files[i] for i in inputs] + ["--check-oracle"]
         code, _, err = run(capsys, *argv)
         assert code == 0, (verb, err)
+
+
+def _finals_cleared(operation):
+    def wrong(*inputs):
+        result = operation(*inputs)
+        result.finals.clear()
+        return result
+    return wrong
+
+
+@pytest.mark.parametrize("argv", [["minimise", "sample.tmb"],
+                                  ["apply-trans", "ident.tmbt", "loop.tmb"]])
+def test_check_oracle_turns_a_wrong_result_into_exit_5(files, capsys,
+                                                       monkeypatch, argv):
+    """A result whose finals were cleared passes unnoticed without the flag
+    and is exit 5 with it."""
+    verb, paths = argv[0], [files[name] for name in argv[1:]]
+    builders, operation, expected = cli.TRANSFORMS[verb]
+    monkeypatch.setitem(cli.TRANSFORMS, verb,
+                        (builders, _finals_cleared(operation), expected))
+    assert run(capsys, verb, *paths)[0] == 0
+    code, out, err = run(capsys, verb, *paths, "--check-oracle")
+    assert (code, out) == (5, "")
+    assert "oracle cross-check failed" in err
+
+
+def test_readme_cli_block_lists_the_parser_verbs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = set(re.findall(r"\bsymta ([a-z-]+)", block))
+    verbs = next(a for a in cli._build_parser()._actions if a.dest == "verb")
+    assert documented == set(verbs.choices)
 
 
 def test_apply_trans_and_compose(files, capsys, tmp_path):
