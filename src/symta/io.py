@@ -45,21 +45,18 @@ class TimbukParseError(ValueError):
 
 # -- tokenizing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s+|->|[():,/]|[^\s():,/%>\-]+")
+#: the last branch catches the lone ``-`` and ``>`` no other branch takes
+_TOKEN = re.compile(r"->|[():,/]|[^\s():,/%>\-]+|\S")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("%", 1)[0]
-        pos = 0
-        while pos < len(body):
-            match = _TOKEN.match(body, pos)
-            if match is None:
-                raise TimbukParseError(f"bad character {body[pos]!r}", lineno)
-            pos = match.end()
-            if not match.group().isspace():
-                tokens.append((match.group(), lineno))
+        found = _TOKEN.findall(line.split("%", 1)[0])
+        if "-" in found or ">" in found:
+            bad = next(tok for tok in found if tok in ("-", ">"))
+            raise TimbukParseError(f"bad character {bad!r}", lineno)
+        tokens.extend([(tok, lineno) for tok in found])
     return tokens
 
 
@@ -226,7 +223,9 @@ def _build(cls, doc: TimbukDocument, alphabet: Alphabet,
             f" {doc.kind.capitalize()}", doc.line)
     machine = cls(alphabet, manager, name=doc.name)
     _declare_states(machine, doc)
-    grouped: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}
+    ids = machine._id_of
+    # source ids -> one symbol per bank -> target ids
+    grouped: dict[tuple[int, ...], dict[tuple[str, ...], set[int]]] = {}
     for rule in doc.rules:
         arity = len(rule.sources)
         symbols = rule.symbols
@@ -235,11 +234,15 @@ def _build(cls, doc: TimbukDocument, alphabet: Alphabet,
                 raise TimbukParseError(
                     f"no declaration of symbol {name!r} with arity {arity}", rule.line)
         for state in rule.sources + (rule.target,):
-            if not machine.has_state(state):
+            if state not in ids:
                 raise TimbukParseError(f"undeclared state {state!r}", rule.line)
-        grouped.setdefault((symbols, rule.sources), set()).add(rule.target)
-    for (symbols, sources), targets in grouped.items():
-        machine._insert(symbols, sources, targets)
+        by_symbols = grouped.setdefault(tuple(ids[q] for q in rule.sources), {})
+        by_symbols.setdefault(symbols, set()).add(ids[rule.target])
+    m = machine.manager
+    for source, by_symbols in grouped.items():
+        entries = [(machine._encode(symbols, len(source)), m.leaf(targets))
+                   for symbols, targets in by_symbols.items()]
+        machine.index.set(source, m.from_cubes(entries, machine.banks), m.bottom)
     return machine
 
 

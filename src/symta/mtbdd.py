@@ -1,8 +1,8 @@
 """Shared reduced ordered multi-terminal BDDs with set-valued terminals.
 
 A :class:`Manager` owns every diagram node it ever creates.  Internal
-decision nodes are hash-consed through a unique table keyed by
-``(variable, low, high)`` and terminals are interned in a leaf pool keyed
+decision nodes are hash-consed through one unique table per variable,
+keyed by ``(low, high)``, and terminals are interned in a leaf pool keyed
 by the terminal's state set, so structurally equal functions are always
 represented by the very same object: handle identity doubles as function
 equality (canonicity).  Reduction is enforced on construction; no node has
@@ -22,8 +22,8 @@ empty sets back to the empty set; returning anything else is legal but
 densifies the diagram.
 
 Every diagram recursion (``apply``, ``monadic_apply``, ``union``,
-``relational_product``, ``from_cube``, ``leaf_values``) steps to a
-strictly later variable at each level, so it recurses at most
+``relational_product``, ``from_cube``, ``from_cubes``, ``leaf_values``)
+steps to a strictly later variable at each level, so it recurses at most
 ``num_vars + 1`` deep whatever the diagrams' sizes.
 
 A manager and the diagrams it owns form one mutation unit.  Operations
@@ -35,6 +35,7 @@ independent.
 
 from __future__ import annotations
 
+import bisect
 import sys
 from collections.abc import Callable, Iterable, Sequence
 
@@ -95,7 +96,10 @@ class Manager:
     The manager also hands out state ids for the automata registered to
     it, which keeps leaf sets of different automata in one manager
     disjoint by construction.  Managers are arena-style: dead nodes are
-    never collected, a whole manager is dropped at once.
+    never collected, a whole manager is dropped at once.  So bulk input
+    goes through :meth:`from_cubes`, which interns only the nodes of its
+    result, and each variable has its own unique table, so growing one
+    table never rehashes the nodes of every other variable.
     """
 
     def __init__(self, width: int, banks: int = 1):
@@ -109,7 +113,8 @@ class Manager:
         empty = frozenset()
         self.bottom = Leaf(self, empty)
         self._leaves: dict[frozenset, Leaf] = {empty: self.bottom}
-        self._unique: dict[tuple, Node] = {}
+        #: per variable: (low, high) -> node
+        self._unique: list[dict[tuple, Node]] = [{} for _ in range(self.num_vars)]
         #: unordered pair of handles -> their union, kept for the manager's life
         self._union_table: dict[tuple, Ref] = {}
         self._next_state = 0
@@ -145,11 +150,10 @@ class Manager:
             raise ValueError(f"variable {var} outside 0..{self.num_vars - 1}")
         if var >= low.var or var >= high.var:
             raise ValueError("variable order violated")
-        key = (var, low, high)
-        ref = self._unique.get(key)
+        table = self._unique[var]
+        ref = table.get((low, high))
         if ref is None:
-            ref = Node(self, var, low, high)
-            self._unique[key] = ref
+            ref = table[low, high] = Node(self, var, low, high)
         return ref
 
     def var_index(self, bit: int, bank: int = 0) -> int:
@@ -182,7 +186,8 @@ class Manager:
         All other assignments keep their value in ``onto`` (bottom by
         default), so this writes one cube over an existing root.
         Don't-care positions produce no decision node, so one cube can
-        stand for a whole set of symbols.
+        stand for a whole set of symbols.  To build a diagram from many
+        total cubes at once, :meth:`from_cubes` interns no dead path.
 
         Only the paths of ``onto`` inside the cube are rebuilt: at a level
         the cube binds, the other child is reused as it is, so a total
@@ -219,6 +224,46 @@ class Manager:
             return res
 
         return rec(onto, 0)
+
+    def from_cubes(self, entries: Iterable[tuple[Cube, Leaf]],
+                   banks: Sequence[int] = (0,)) -> Ref:
+        """Diagram mapping each total 0/1 cube of ``entries`` to its leaf
+        and every other assignment to bottom; a repeated cube keeps its
+        last leaf.
+
+        The handle is the one folding ``from_cube(cube, leaf, banks,
+        onto=root)`` over ``entries`` returns, but the diagram is built
+        bottom-up from the sorted cubes, split at each variable in turn,
+        so every node interned is a node of the result.
+        """
+        k = len(banks)
+        n = self.width * k
+        variables = [self.var_index(j // k, banks[j % k]) for j in range(n)]
+        table: dict[Cube, Leaf] = {}
+        for cube, leaf in entries:
+            self._check_owned(leaf)
+            if len(cube) != n or not set(cube) <= {0, 1}:
+                raise ValueError(f"cube {cube!r} is not a total 0/1 cube of width {n}")
+            table[cube] = leaf
+        cubes = sorted(table)
+        bottom, node = self.bottom, self.node
+
+        def rec(lo: int, hi: int, depth: int) -> Ref:
+            if lo == hi:
+                return bottom
+            if hi - lo == 1:  # one cube left: its path, built upwards
+                cube = cubes[lo]
+                ref = table[cube]
+                for d in range(n - 1, depth - 1, -1):
+                    ref = (node(variables[d], bottom, ref) if cube[d]
+                           else node(variables[d], ref, bottom))
+                return ref
+            # cubes[lo:hi] share their first ``depth`` bits; find the 1s
+            mid = bisect.bisect_left(cubes, cubes[lo][:depth] + (1,), lo, hi)
+            return node(variables[depth], rec(lo, mid, depth + 1),
+                        rec(mid, hi, depth + 1))
+
+        return rec(0, len(cubes), 0)
 
     # -- core recursions -----------------------------------------------------
 

@@ -458,14 +458,14 @@ def downward_simulation(a: TreeAutomaton) -> frozenset:
                 changed = True
         return frozenset()
 
+    rows = list(a.index.items())  # sorted once: the index does not change
     cache: dict = {}  # partners only shrink, so a repeated pair is a no-op
     changed = True
     while changed:
         changed = False
-        for n in a.index.arities():
-            for sp in a.index.tuples(n):
-                tmp = a.index.unite(m, [partners[q] for q in sp])
-                m.apply(a.index.get(sp), tmp, refine, cache)
+        for sp, root in rows:
+            tmp = a.index.unite(m, [partners[q] for q in sp])
+            m.apply(root, tmp, refine, cache)
     return frozenset((p, q) for p in states for q in partners[p])
 
 

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from symta import Alphabet, Manager, TreeAutomaton
+from symta import Alphabet, Manager, TimbukParseError, TreeAutomaton
 from symta.mtbdd import LEAF_LEVEL
 
 
@@ -98,3 +100,30 @@ def reference_chain(m, root1, root2, op):
     it, and move bank 2 onto it."""
     lifted = reference_rename(m, reference_rename(m, root2, 1, 2), 0, 1)
     return reference_rename(m, reference_trim(m, m.apply(root1, lifted, op), 1), 2, 1)
+
+
+def interned_nodes(m):
+    """Decision nodes a manager has interned, over every variable's table."""
+    return sum(len(table) for table in m._unique)
+
+
+# -- the position-by-position tokenizer that symta.io._tokenize replaces --
+
+_REFERENCE_TOKEN = re.compile(r"\s+|->|[():,/]|[^\s():,/%>\-]+")
+
+
+def reference_tokenize(text):
+    """Match one token at a time; whitespace is matched and dropped, and a
+    position no branch matches is a bad character."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("%", 1)[0]
+        pos = 0
+        while pos < len(body):
+            match = _REFERENCE_TOKEN.match(body, pos)
+            if match is None:
+                raise TimbukParseError(f"bad character {body[pos]!r}", lineno)
+            pos = match.end()
+            if not match.group().isspace():
+                tokens.append((match.group(), lineno))
+    return tokens

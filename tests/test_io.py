@@ -16,6 +16,7 @@ from symta import (
 )
 from symta import apply_step, compose
 from symta.io import (
+    _tokenize,
     alphabet_from_documents,
     build_automaton,
     build_transducer,
@@ -26,7 +27,7 @@ from symta.oracle import random_alphabet, random_automaton, random_transducer, \
     to_explicit
 from symta.transducer import transducer_manager
 
-from conftest import function_table
+from conftest import function_table, interned_nodes, reference_tokenize
 from dot_check import validate_dot
 
 SAMPLE_DOC = """\
@@ -94,11 +95,42 @@ def test_comments_crlf_and_state_annotations():
     ("Ops f:2\nAutomaton A\nStates q\nFinal States q\nTransitions\nf(q) -> q\n", 6),
     ("Ops a:0\nAutomaton A\nStates q\nFinal States nope\nTransitions\n", 4),
     ("Ops a:b\nAutomaton A\nStates q\nFinal States\nTransitions\n", 1),
+    ("Ops a:0 b:0\nAutomaton A\nStates q\nFinal States q\nTransitions\na-b -> q\n", 6),
+    ("Ops a:0\nAutomaton A\nStates q\nFinal States q\nTransitions\na => q\n", 6),
+    ("Ops f:1\nAutomaton A\nStates q\nFinal States q\nTransitions\nf(q) - > q\n", 6),
 ])
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(TimbukParseError) as err:
         parse_timbuk(text)
     assert err.value.line == line
+
+
+def _tokenized(tokenize, text):
+    try:
+        return tokenize(text)
+    except TimbukParseError as exc:
+        return exc.line, str(exc)
+
+
+#: pieces of random token texts; lone "-" and ">" are rare enough that
+#: most texts tokenize
+_PIECES = (["a", "q0", "f", "Ops", "x_1", "States"] + list("():,/") + ["->"] * 3
+           + [" ", " ", "\t", "%", " % note", "\n", "\r\n", "\n\n"])
+
+
+def test_tokenizer_matches_the_reference_tokenizer():
+    """Tokens, or the line and message of the first bad character, agree
+    with the position-by-position tokenizer on seeded random texts."""
+    rng = random.Random(4420)
+    errors = 0
+    for trial in range(600):
+        pieces = [rng.choice(_PIECES) if rng.random() > 0.02 else rng.choice("->")
+                  for _ in range(rng.randint(0, 60))]
+        text = "".join(pieces)
+        expected = _tokenized(reference_tokenize, text)
+        assert _tokenized(_tokenize, text) == expected, (trial, text)
+        errors += isinstance(expected, tuple)
+    assert 50 < errors < 550  # both outcomes are well exercised
 
 
 def test_arity_mismatch_is_reported():
@@ -118,6 +150,55 @@ def test_write_contains_empty_final_line():
     aut = parse_timbuk("Ops a:0\nAutomaton A\nStates q\nFinal States\n"
                        "Transitions\na -> q\n")
     assert "\nFinal States\n" in write_timbuk(aut)
+
+
+def _wide_document():
+    """One rule per symbol of a 2^12-symbol alphabet, all on one super-state,
+    with random targets: a large initial diagram."""
+    rng = random.Random(12)
+    names = [f"s{i}" for i in range(1 << 12)]
+    return "\n".join([
+        "Ops " + " ".join(f"{name}:0" for name in names),
+        "Automaton W",
+        "States q0 q1 q2 q3",
+        "Final States q0",
+        "Transitions",
+        *(f"{name} -> q{rng.randint(0, 3)}" for name in names),
+    ]) + "\n"
+
+
+def _transducer_document():
+    """Relabellings among 24 nullary and among 24 unary symbols; some
+    left-hand sides recur, so their targets accumulate."""
+    rng = random.Random(31)
+    leaves, unary = [f"c{i}" for i in range(24)], [f"g{i}" for i in range(24)]
+    rules = [f"{f} / {rng.choice(leaves)} -> p{rng.randint(0, 2)}"
+             for f in leaves for _ in range(2)]
+    rules += [f"{f}(p{rng.randint(0, 2)}) / {rng.choice(unary)} -> p{rng.randint(0, 2)}"
+              for f in unary for _ in range(3)]
+    return "\n".join([
+        "Ops " + " ".join([f"{f}:0" for f in leaves] + [f"{f}:1" for f in unary]),
+        "Transducer T",
+        "States p0 p1 p2",
+        "Final States p2",
+        "Transitions",
+        *rules,
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("kind,text,banks", [
+    ("automaton", _wide_document(), 1), ("automaton", _wide_document(), 3),
+    ("transducer", _transducer_document(), 3)], ids=["wide-1", "wide-3", "transducer"])
+def test_loading_interns_only_the_nodes_it_keeps(kind, text, banks):
+    """A load into a fresh manager interns no node its diagrams drop."""
+    doc = parse_timbuk_document(text)
+    alphabet = alphabet_from_documents(doc)
+    manager = Manager(alphabet.width, banks)
+    build = build_automaton if kind == "automaton" else build_transducer
+    machine = build(doc, alphabet, manager)
+    roots = [root for _, root in machine.index.items()]
+    assert manager.node_count(*roots) > 20
+    assert interned_nodes(manager) == manager.node_count(*roots)
 
 
 def test_round_trip_is_isomorphic(sample_automaton):

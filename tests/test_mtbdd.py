@@ -19,6 +19,7 @@ from symta.mtbdd import (
 
 from conftest import (
     function_table,
+    interned_nodes,
     reference_chain,
     reference_relabel,
     reference_rename,
@@ -130,6 +131,42 @@ def test_from_cube_onto_rejects_foreign_root():
     m1, m2 = Manager(2), Manager(2)
     with pytest.raises(ValueError):
         m1.from_cube((0, 1), m1.leaf([1]), onto=m2.from_cube((1, 1), m2.leaf([1])))
+
+
+@pytest.mark.parametrize("banks,layout", [(1, (0,)), (3, (0,)), (3, (1,)), (3, (0, 1))],
+                         ids=["1-bank", "bank-0-of-3", "bank-1-of-3", "banks-01-of-3"])
+def test_from_cubes_is_the_from_cube_fold(banks, layout):
+    """Built in a fresh manager, ``from_cubes`` interns only the nodes of
+    its result, which is the very handle folding ``from_cube`` over the
+    same entries gives; repeated cubes keep their last leaf."""
+    rng = random.Random(20250 + banks * 10 + len(layout) + layout[0])
+    for trial in range(150):
+        width = trial % 6
+        m = Manager(width, banks)
+        length = width * len(layout)
+        leaves = [m.leaf(rng.sample(range(6), rng.randint(0, 2))) for _ in range(4)]
+        entries = [(tuple(rng.randint(0, 1) for _ in range(length)), rng.choice(leaves))
+                   for _ in range(rng.randint(0, min(12, 2 ** length + 2)))]
+        root = m.from_cubes(entries, layout)
+        assert interned_nodes(m) == m.node_count(root), trial
+        fold = m.bottom
+        for cube, leaf in entries:
+            fold = m.from_cube(cube, leaf, layout, onto=fold)
+        assert root is fold, trial
+    for width in range(6):
+        m = Manager(width, banks)
+        assert m.from_cubes([], layout) is m.bottom
+        assert interned_nodes(m) == 0
+
+
+def test_from_cubes_rejects_partial_cubes_and_foreign_leaves():
+    m, other = Manager(3), Manager(3)
+    with pytest.raises(ValueError):
+        m.from_cubes([((0, 1, 1), m.leaf([1])), ((0, X, 1), m.leaf([2]))])
+    with pytest.raises(ValueError):
+        m.from_cubes([((0, 1), m.leaf([1]))])
+    with pytest.raises(ValueError):
+        m.from_cubes([((0, 1, 1), other.leaf([1]))])
 
 
 # -- apply ----------------------------------------------------------------------
@@ -359,9 +396,9 @@ def test_repeated_union_interns_nothing_and_counts_one_apply():
     f = _random_root(rng, m, (0, 1), 6)
     g = _random_root(rng, m, (0, 1), 6)
     united = m.union(f, g)
-    nodes, leaves, calls = len(m._unique), len(m._leaves), m.apply_calls
+    nodes, leaves, calls = interned_nodes(m), len(m._leaves), m.apply_calls
     assert m.union(g, f) is united
-    assert (len(m._unique), len(m._leaves)) == (nodes, leaves)
+    assert (interned_nodes(m), len(m._leaves)) == (nodes, leaves)
     assert m.apply_calls == calls + 1
 
 
@@ -492,6 +529,21 @@ def test_diagram_recursions_stay_within_num_vars_levels():
         assert len(list(_split_cubes(u, list(range(m.num_vars))))) == 3
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_from_cubes_stays_within_num_vars_levels():
+    m = Manager(16, banks=3)
+    rng = random.Random(7315)
+    entries = [(tuple(rng.randint(0, 1) for _ in range(m.num_vars)), m.leaf([i]))
+               for i in range(8)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + m.num_vars + 30)
+    try:
+        root = m.from_cubes(entries, (0, 1, 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [m.evaluate(root, cube) for cube, _ in entries] == \
+        [leaf.value for _, leaf in entries]
 
 
 # -- evaluate ---------------------------------------------------------------------
